@@ -248,6 +248,11 @@ class CanonicalCoords:
             counter_add("build.canonical.reuse")
         return self._sort_perm
 
+    def is_sort_perm(self, perm: np.ndarray | None) -> bool:
+        """Whether ``perm`` is the cached :attr:`sort_perm` object itself
+        (the one permutation several formats can share)."""
+        return perm is not None and perm is self._sort_perm
+
     @property
     def sorted_addresses(self) -> np.ndarray:
         if self._sorted_addresses is None:

@@ -10,9 +10,9 @@ merge over per-fragment *sorted address runs*:
    format's :meth:`SparseFormat.extract_addresses` — for LINEAR that is
    a plain argsort of the stored address buffer (no delinearize), for
    COO-SORTED/identity-CSF it is free;
-2. the runs are concatenated in fragment order and stably argsorted —
-   NumPy's timsort detects the pre-sorted runs, making this the galloping
-   k-way merge rather than a fresh O(n log n) sort;
+2. the runs are concatenated in fragment order and stably argsorted by
+   :func:`~repro.core.sorting.stable_argsort` (timsort merges two runs in
+   one pass; more runs take its packed integer sort);
 3. duplicate addresses resolve to the *last* occurrence in
    (fragment, stored-position) order — exactly the store's newest-wins
    overwrite rule (:data:`repro.build.canonical.DUPLICATE_POLICY`);
@@ -100,8 +100,7 @@ def merge_sorted_runs(
          for r, off in zip(runs, offsets)]
     )
     counter_add("build.merge.points", int(addresses.shape[0]))
-    # Stable argsort over concatenated sorted runs == the k-way merge
-    # (timsort gallops through the pre-sorted stretches).
+    # Stable argsort over concatenated sorted runs == the k-way merge.
     order = stable_argsort(addresses)
     merged = addresses[order]
     if merged.shape[0] == 0:
@@ -124,7 +123,11 @@ def merge_sorted_runs(
     # Re-express in legacy concatenation order (what decode-and-rebuild
     # produced: deduplicated keep-last, selection indices ascending),
     # deriving the sort permutation instead of re-sorting addresses.
-    to_concat_order = stable_argsort(surv_gpos)
+    # Global positions are distinct and below the entry count, so their
+    # ascending order comes from one scatter instead of a sort.
+    slot = np.full(gpos.shape[0], -1, dtype=np.intp)
+    slot[surv_gpos] = np.arange(surv_gpos.shape[0])
+    to_concat_order = slot[slot >= 0]
     sort_perm = invert_permutation(to_concat_order).astype(np.intp)
     return MergedPoints(
         canonical=CanonicalCoords.from_addresses(

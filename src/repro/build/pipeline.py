@@ -54,6 +54,12 @@ def encode_all(
         Resolved format name -> encoded tensor, in input order.
     """
     canon = CanonicalCoords.from_coords(tensor.coords, tensor.shape)
+    if canon.row_major_sorted:
+        # Shared by several formats: keep the canonical in address form,
+        # so the sorted coordinates (COO-SORTED's payload, CSF's tree
+        # input) come from a sequential delinearize of the sorted
+        # addresses instead of a random gather of (n, d) rows.
+        canon = CanonicalCoords.from_addresses(canon.addresses, tensor.shape)
     values = np.asarray(tensor.values)
     out: dict[str, EncodedTensor] = {}
     gather_cache: dict = {}

@@ -63,6 +63,19 @@ class Box:
         hi = as_index_array(list(self.end))
         return np.all((coords >= lo) & (coords < hi), axis=1)
 
+    def covers(self, other: "Box") -> bool:
+        """Whether every cell of ``other`` lies inside this box."""
+        if other.ndim != self.ndim:
+            raise ShapeError("box dimensionality mismatch")
+        if other.is_empty():
+            return True
+        return all(
+            a_o <= b_o and b_e <= a_e
+            for a_o, a_e, b_o, b_e in zip(
+                self.origin, self.end, other.origin, other.end
+            )
+        )
+
     def intersects(self, other: "Box") -> bool:
         if other.ndim != self.ndim:
             raise ShapeError("box dimensionality mismatch")
@@ -149,12 +162,17 @@ def extract_boundary(coords: np.ndarray) -> Box:
     if coords.shape[0] == 0:
         return Box(tuple(0 for _ in range(coords.shape[1])),
                    tuple(0 for _ in range(coords.shape[1])))
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    return Box(
-        tuple(int(v) for v in lo),
-        tuple(int(h - l + 1) for l, h in zip(lo, hi)),
-    )
+    if coords.shape[0] <= 64:
+        lo = coords.min(axis=0).tolist()
+        hi = coords.max(axis=0).tolist()
+    else:
+        # Column by column: NumPy's axis-0 reduction over a C-ordered
+        # (n, d) array runs an inner loop of length d and is several
+        # times slower once there are more than a few dozen rows.
+        cols = [coords[:, j] for j in range(coords.shape[1])]
+        lo = [int(c.min()) for c in cols]
+        hi = [int(c.max()) for c in cols]
+    return Box(tuple(lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
 
 
 def boundary_shape(coords: np.ndarray) -> tuple[int, ...]:

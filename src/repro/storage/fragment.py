@@ -267,7 +267,6 @@ def load_fragment(
     corruption semantics are unchanged: ``check_crc=True`` still hashes
     the whole (mapped) file before any buffer is handed out.
     """
-    path = Path(path)
     try:
         data = read_view(path) if lazy else read_bytes(path)
     except OSError as exc:
@@ -334,5 +333,5 @@ def query_fragment(
                 payload.buffers, payload.meta, payload.shape, query_coords,
                 memo=payload.runtime,
             )
-        sp.add_nnz(int(res.found.sum()))
+        sp.add_nnz(int(np.count_nonzero(res.found)))
     return res, res.gather_values(payload.values)

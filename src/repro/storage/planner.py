@@ -62,7 +62,11 @@ counters above.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -182,6 +186,22 @@ class ZoneMap:
         )
         return any(self.hist[b_lo:b_hi + 1])
 
+    def overlaps_any(self, ranges: Sequence[tuple[int, int]]) -> bool:
+        """Whether any of ``ranges`` *may* hold a stored address.
+
+        ``ranges`` are ascending, disjoint inclusive intervals (what
+        :class:`QueryKeys` yields), so only those from the one holding
+        ``addr_min`` up to ``addr_max`` are tested — an interleaved box
+        decomposes into dozens of intervals, and a fragment spans few.
+        """
+        start = bisect_right(ranges, self.addr_min, key=itemgetter(0))
+        for lo, hi in islice(ranges, max(start - 1, 0), None):
+            if lo > self.addr_max:
+                return False
+            if self.overlaps_range(lo, hi):
+                return True
+        return False
+
     def may_contain_any(self, sorted_addresses: np.ndarray) -> bool:
         """Whether any of the (ascending) query addresses *may* be stored.
 
@@ -191,19 +211,25 @@ class ZoneMap:
         """
         if sorted_addresses.size == 0:
             return False
-        lo = int(np.searchsorted(sorted_addresses, self.addr_min, side="left"))
-        hi = int(np.searchsorted(sorted_addresses, self.addr_max, side="right"))
+        lo = int(sorted_addresses.searchsorted(self.addr_min, side="left"))
+        hi = int(sorted_addresses.searchsorted(self.addr_max, side="right"))
         if lo >= hi:
             return False
-        if not self.hist:
+        if all(self.hist):
             return True
         window = sorted_addresses[lo:hi].astype(INDEX_DTYPE, copy=False)
         buckets = (
             (window - INDEX_DTYPE.type(self.addr_min))
             // INDEX_DTYPE.type(self.bucket_width)
         ).astype(np.intp)
-        occupancy = np.asarray(self.hist, dtype=np.int64) > 0
-        return bool(occupancy[np.minimum(buckets, len(self.hist) - 1)].any())
+        return bool(
+            self._occupancy[np.minimum(buckets, len(self.hist) - 1)].any()
+        )
+
+    @cached_property
+    def _occupancy(self) -> np.ndarray:
+        """Non-empty histogram buckets, built once per zone map."""
+        return np.asarray(self.hist, dtype=np.int64) > 0
 
 
 class QueryKeys:
@@ -223,6 +249,10 @@ class QueryKeys:
       BIGMIN-style ranges in ALTO order (:func:`repro.core.linearize.
       alto_box_ranges`), each pruned against the zone map separately so
       an interleaved box does not degrade to one giant span.
+
+    ``addresses`` seeds the memo with keys the caller already holds
+    (``{order: ascending addresses of points}``), so a sharded parent
+    hands each band its slice of one sort instead of re-linearizing.
     """
 
     def __init__(
@@ -232,12 +262,13 @@ class QueryKeys:
         points: np.ndarray | None = None,
         box: Box | None = None,
         max_ranges: int = 64,
+        addresses: dict[str, np.ndarray] | None = None,
     ) -> None:
         self.shape = tuple(int(m) for m in shape)
         self._points = points
         self._box = box
         self._max_ranges = int(max_ranges)
-        self._addresses: dict[str, np.ndarray | None] = {}
+        self._addresses: dict[str, np.ndarray | None] = dict(addresses or {})
         self._ranges: dict[str, list[tuple[int, int]] | None] = {}
 
     def addresses(self, order: str) -> np.ndarray | None:
@@ -328,8 +359,8 @@ class FragmentIndex:
             if f.nnz and getattr(f, "zone", None) is None
         )
         self._alive = np.ones(n, dtype=bool)
-        self._starts: list[np.ndarray] = []
-        self._ends: list[np.ndarray] = []
+        self._starts: list[list[int]] = []
+        self._ends: list[list[int]] = []
         self._start_order: list[np.ndarray] = []
         self._end_order: list[np.ndarray] = []
         for f_i, f in enumerate(self.fragments):
@@ -348,8 +379,10 @@ class FragmentIndex:
             )
             s_order = np.argsort(starts, kind="stable")
             e_order = np.argsort(ends, kind="stable")
-            self._starts.append(starts[s_order])
-            self._ends.append(ends[e_order])
+            # Python lists: one bisect on a list costs a fraction of a
+            # NumPy call, and candidates() runs on every read.
+            self._starts.append(starts[s_order].tolist())
+            self._ends.append(ends[e_order].tolist())
             self._start_order.append(s_order)
             self._end_order.append(e_order)
 
@@ -360,16 +393,19 @@ class FragmentIndex:
         """Indices (ascending) of fragments whose bbox intersects the box."""
         if not self.fragments or query_box.is_empty():
             return np.empty(0, dtype=np.intp)
+        n = len(self.fragments)
         alive = self._alive.copy()
         for j in range(self.ndim):
             q_origin = int(query_box.origin[j])
             q_end = q_origin + int(query_box.size[j])
             # Fragments starting at/after the query's end cannot overlap.
-            k = int(np.searchsorted(self._starts[j], q_end, side="left"))
-            alive[self._start_order[j][k:]] = False
+            k = bisect_left(self._starts[j], q_end)
+            if k < n:
+                alive[self._start_order[j][k:]] = False
             # Fragments ending at/before the query's origin cannot overlap.
-            k = int(np.searchsorted(self._ends[j], q_origin, side="right"))
-            alive[self._end_order[j][:k]] = False
+            k = bisect_right(self._ends[j], q_origin)
+            if k:
+                alive[self._end_order[j][:k]] = False
         return np.flatnonzero(alive)
 
 
@@ -530,10 +566,7 @@ class QueryPlanner:
                         ranges = keys.ranges(forder)
                         if ranges is not None:
                             used_zone = True
-                            if not any(
-                                zone.overlaps_range(lo, hi)
-                                for lo, hi in ranges
-                            ):
+                            if not zone.overlaps_any(ranges):
                                 pruned_zone += 1
                                 continue
                 elif sorted_addresses is not None:

@@ -78,6 +78,7 @@ from ..core.linearize import (
     linearize_order,
     validate_addr_order,
 )
+from ..core.sorting import stable_argsort
 from ..core.tensor import SparseTensor
 from ..formats.base import SparseFormat
 from ..formats.registry import resolve_format
@@ -831,58 +832,49 @@ class ShardedStore:
             parallel=parallel,
             max_workers=max_workers,
         )
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
+        query = _check_query(query_coords, self.shape)
         q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
         if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
+            return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
+        order = self.addr_order
         with self._rw.read_locked():
             with span("store.shard.read_points",
                       format=self.format_name) as sp:
-                addrs = linearize_order(
-                    query, self.shape, self.addr_order, validate=False
+                perm, sorted_addrs, bounds = _route_points(
+                    linearize_order(query, self.shape, order, validate=False),
+                    self._cuts(),
                 )
+                keys = None
+                if self.use_planner:
+                    keys = QueryKeys(
+                        self.shape, points=query,
+                        addresses={order: sorted_addrs},
+                    )
                 plan = self._plan_shards(
-                    extract_boundary(query),
-                    "points",
-                    keys=self._query_keys(points=query),
+                    extract_boundary(query), "points", keys=keys
                 )
                 surviving = {e.name for e in plan.fragments}
-                band_of = (
-                    np.searchsorted(self._cuts(), addrs, side="right") - 1
-                )
-                visited = 0
-                for i, entry in enumerate(self._entries):
-                    if entry.name not in surviving:
-                        continue
-                    sel = np.flatnonzero(band_of == i)
-                    if sel.size == 0:
-                        continue
-                    outcome = self._child(i).read_points(
-                        query[sel], options=ropts
-                    )
-                    visited += outcome.fragments_visited
-                    idx = sel[outcome.found]
-                    found[idx] = True
-                    if outcome.values.size:
-                        if out_values is None:
-                            out_values = np.zeros(
-                                q, dtype=outcome.values.dtype
+
+                def routed():
+                    for i, entry in enumerate(self._entries):
+                        lo, hi = bounds[i], bounds[i + 1]
+                        if lo == hi or entry.name not in surviving:
+                            continue
+                        rows = perm[lo:hi]
+                        sub = np.take(query, rows, axis=0)
+                        sub_keys = None
+                        if keys is not None:
+                            sub_keys = QueryKeys(
+                                self.shape, points=sub,
+                                addresses={order: sorted_addrs[lo:hi]},
                             )
-                        out_values[idx] = outcome.values
-                matched = int(found.sum())
-                sp.add_nnz(matched)
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
-        )
+                        yield rows, self._child(i).read_points(
+                            sub, options=ropts, keys=sub_keys
+                        )
+
+                outcome = _gather_routed(q, routed())
+                sp.add_nnz(outcome.points_matched)
+        return outcome
 
     def read_box(
         self,
@@ -894,12 +886,12 @@ class ShardedStore:
         parallel: str = UNSET,
         max_workers: int | None = UNSET,
     ) -> SparseTensor:
-        """Box reads fanned across surviving shards, merged in band order.
+        """Box reads fanned across surviving shards, merged row-major.
 
         Bands partition the address space, so the per-shard results
-        (each already deduplicated and address-sorted by the child) are
-        disjoint and concatenate into a globally address-sorted tensor —
-        no cross-shard dedup pass exists, by construction.
+        (each already deduplicated and row-major sorted by the child) are
+        disjoint — no cross-shard dedup pass exists, by construction —
+        and :func:`_merge_bands` merges them into row-major order.
         """
         ropts = resolve_read_options(
             options,
@@ -921,11 +913,7 @@ class ShardedStore:
                     part = self._child(i).read_box(box, options=ropts)
                     if part.nnz:
                         parts.append(part)
-        if not parts:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack([p.coords for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        return SparseTensor(self.shape, coords, values)
+        return _merge_bands(self.shape, parts)
 
     # ------------------------------------------------------------------
     # Maintenance: parallel compaction, split, merge
@@ -1277,10 +1265,10 @@ class ShardedSnapshot:
 
     Composes one :class:`~repro.storage.store.StoreSnapshot` per band,
     captured together under the parent read lock.  Bands are disjoint,
-    so routed point reads and concatenated (band-order) box reads are
-    bit-identical to the single-store snapshot semantics.  Closing
-    releases every child pin; snapshots are context managers and also
-    release on garbage collection.
+    so routed point reads and merged box reads are bit-identical to the
+    single-store snapshot semantics.  Closing releases every child pin;
+    snapshots are context managers and also release on garbage
+    collection.
     """
 
     def __init__(
@@ -1321,55 +1309,107 @@ class ShardedSnapshot:
         self, query_coords: np.ndarray, **kwargs
     ) -> ReadOutcome:
         """Routed point reads against the pinned per-band views."""
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
+        query = _check_query(query_coords, self.shape)
         q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
         if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        addrs = linearize_order(
-            query, self.shape, self.addr_order, validate=False
-        )
-        cuts = np.asarray(
-            [e.addr_lo for e in self._entries], dtype=np.uint64
-        )
-        band_of = np.searchsorted(cuts, addrs, side="right") - 1
-        visited = 0
-        for i, child in enumerate(self._children):
-            sel = np.flatnonzero(band_of == i)
-            if sel.size == 0:
-                continue
-            outcome = child.read_points(query[sel], **kwargs)
-            visited += outcome.fragments_visited
-            idx = sel[outcome.found]
-            found[idx] = True
-            if outcome.values.size:
-                if out_values is None:
-                    out_values = np.zeros(q, dtype=outcome.values.dtype)
-                out_values[idx] = outcome.values
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=int(found.sum()),
+            return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
+        perm, _, bounds = _route_points(
+            linearize_order(
+                query, self.shape, self.addr_order, validate=False
+            ),
+            np.asarray([e.addr_lo for e in self._entries], dtype=np.uint64),
         )
 
+        def routed():
+            for child, lo, hi in zip(self._children, bounds, bounds[1:]):
+                if lo < hi:
+                    rows = perm[lo:hi]
+                    yield rows, child.read_points(
+                        np.take(query, rows, axis=0), **kwargs
+                    )
+
+        return _gather_routed(q, routed())
+
     def read_box(self, box: Box, **kwargs) -> SparseTensor:
-        """Box reads fanned across the pinned views, merged in band order."""
+        """Box reads fanned across the pinned views, merged row-major."""
         parts = []
         for child in self._children:
             part = child.read_box(box, **kwargs)
             if part.nnz:
                 parts.append(part)
-        if not parts:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack([p.coords for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        return SparseTensor(self.shape, coords, values)
+        return _merge_bands(self.shape, parts)
+
+
+def _check_query(query_coords, shape) -> np.ndarray:
+    query = as_index_array(query_coords)
+    if query.ndim != 2 or query.shape[1] != len(shape):
+        raise ShapeError("query coords must be (q, d) matching the store")
+    return query
+
+
+def _route_points(
+    addrs: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a point query by band with one sort of its addresses.
+
+    Returns ``(perm, sorted_addrs, bounds)``: band ``i`` owns the query
+    rows ``perm[bounds[i]:bounds[i + 1]]``, whose ascending addresses
+    are ``sorted_addrs[bounds[i]:bounds[i + 1]]``.
+    """
+    perm = stable_argsort(addrs)
+    sorted_addrs = addrs[perm]
+    bounds = np.empty(cuts.shape[0] + 1, dtype=np.intp)
+    bounds[:-1] = np.searchsorted(sorted_addrs, cuts, side="left")
+    bounds[-1] = sorted_addrs.shape[0]
+    return perm, sorted_addrs, bounds
+
+
+def _gather_routed(q: int, routed) -> ReadOutcome:
+    """Scatter per-band ``(rows, outcome)`` pairs back into query order.
+
+    Bands are disjoint, so no query row is answered twice.
+    """
+    found = np.zeros(q, dtype=bool)
+    out_values: np.ndarray | None = None
+    visited = 0
+    for rows, outcome in routed:
+        visited += outcome.fragments_visited
+        idx = rows[outcome.found]
+        found[idx] = True
+        if outcome.values.size:
+            if out_values is None:
+                out_values = np.zeros(q, dtype=outcome.values.dtype)
+            out_values[idx] = outcome.values
+    if out_values is None:
+        out_values = np.zeros(q, dtype=float)
+    return ReadOutcome(
+        found=found,
+        values=out_values[found],
+        fragments_visited=visited,
+        points_matched=int(np.count_nonzero(found)),
+    )
+
+
+def _merge_bands(shape, parts: list[SparseTensor]) -> SparseTensor:
+    """Merge per-band box results into one row-major sorted tensor.
+
+    Each part is deduplicated and row-major sorted, but bands are cut in
+    the store's address order, which need not be row-major (ALTO), so
+    the concatenation is a few sorted runs: the stable sort merges them,
+    and is the identity when the bands already follow row-major order.
+    """
+    if not parts:
+        return SparseTensor.empty(shape)
+    if len(parts) == 1:
+        return parts[0]
+    tensor = SparseTensor(
+        shape,
+        np.vstack([p.coords for p in parts]),
+        np.concatenate([p.values for p in parts]),
+    )
+    if fits_index_dtype(shape):
+        return tensor.sorted_by_linear()
+    return tensor.sorted_lexicographic()
 
 
 def is_sharded_dir(directory: str | Path) -> bool:

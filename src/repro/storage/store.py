@@ -1536,6 +1536,7 @@ class FragmentStore:
         check_crc: bool = UNSET,
         parallel: str = UNSET,
         max_workers: int | None = UNSET,
+        keys: QueryKeys | None = None,
     ) -> ReadOutcome:
         """Algorithm 3 READ for an explicit query coordinate buffer.
 
@@ -1543,6 +1544,10 @@ class FragmentStore:
         appended fragments).  Results come back aligned with the query
         buffer; the benchmark layer separately accounts the final
         sort-by-linear-address merge.
+
+        ``keys`` are the planner keys of exactly ``query_coords`` when
+        the caller already computed them (a sharded parent passes each
+        band its slice of one sort); by default they are built here.
 
         Tuning arrives as one :class:`~repro.storage.options.ReadOptions`
         value (the bare keywords are warn-once deprecation shims).
@@ -1575,10 +1580,14 @@ class FragmentStore:
 
         def point_task(frag: FragmentInfo):
             payload = self._load_payload(frag, check_crc=check_crc)
-            mask = frag.bbox.contains_points(query)
-            if not mask.any():
-                return None
-            sub = query[mask]
+            # ``rows is None``: the fragment's box covers the whole query.
+            rows = None
+            sub = query
+            if not frag.bbox.covers(query_box):
+                rows = frag.bbox.contains_points(query).nonzero()[0]
+                if rows.size == 0:
+                    return None
+                sub = np.take(query, rows, axis=0)
             if payload.extra.get("relative"):
                 sub = self._to_local(frag, sub)
             # Worker threads charge a private counter, folded into the
@@ -1587,8 +1596,11 @@ class FragmentStore:
             res, vals = query_fragment(
                 payload, sub, faithful=faithful, counter=ops
             )
-            return mask, res, vals, ops
+            return rows, res, vals, ops
 
+        query_box = extract_boundary(query)
+        if keys is None:
+            keys = self._query_keys(points=query)
         with self._rw.read_locked():
             with span("store.read_points", format=self.format_name) as sp:
                 tail = self._wal_tail()
@@ -1601,11 +1613,7 @@ class FragmentStore:
                 if self._linearizable and tail is not None and tail.n:
                     qaddrs = linearize(query, self.shape, validate=False)
                     qsorted = np.sort(qaddrs)
-                plan = self._plan_read(
-                    extract_boundary(query),
-                    "points",
-                    keys=self._query_keys(points=query),
-                )
+                plan = self._plan_read(query_box, "points", keys=keys)
                 frags = plan.fragments
                 visited = len(frags)
                 per_fragment = self._run_fragment_tasks(
@@ -1615,18 +1623,20 @@ class FragmentStore:
                 for _frag, result in per_fragment:
                     if result is None:
                         continue
-                    mask, res, vals, ops = result
+                    rows, res, vals, ops = result
                     if use_threads:
                         sp.ops.absorb(ops)
                     if out_values is None:
                         out_values = np.zeros(q, dtype=vals.dtype)
-                    idx = np.flatnonzero(mask)[res.found]
+                    idx = res.found.nonzero()[0]
+                    if rows is not None:
+                        idx = rows[idx]
                     found[idx] = True
                     out_values[idx] = vals
                     self.workload_ledger.record_point_read(
                         _frag.path.name,
-                        queried=int(mask.sum()),
-                        matched=int(res.found.sum()),
+                        queried=q if rows is None else int(rows.size),
+                        matched=int(idx.size),
                     )
                 # WAL tail overlay: the unpacked tail is newer than every
                 # committed fragment, so its hits overwrite — exactly as
@@ -1648,7 +1658,7 @@ class FragmentStore:
                             out_values = np.zeros(q, dtype=vals.dtype)
                         found[hit] = True
                         out_values[hit] = vals
-                matched = int(found.sum())
+                matched = int(np.count_nonzero(found))
                 sp.add_nnz(matched)
         self._record_pruning(plan)
         counter_add("store.points_queried", q)
@@ -2328,16 +2338,7 @@ class FragmentStore:
                             all_values.append(tail.values[mask])
                 sp.add_nnz(sum(c.shape[0] for c in all_coords))
         self._record_pruning(plan)
-        if not all_coords:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack(all_coords)
-        values = np.concatenate(all_values)
-        tensor = SparseTensor(self.shape, coords, values)
-        # Later fragments override earlier ones on the same coordinate.
-        tensor = tensor.deduplicated(keep="last")
-        if fits_index_dtype(self.shape):
-            return tensor.sorted_by_linear()
-        return tensor.sorted_lexicographic()
+        return _merge_box_parts(self.shape, all_coords, all_values)
 
 
 class StoreSnapshot:
@@ -2538,12 +2539,23 @@ class StoreSnapshot:
                 if mask.any():
                     all_coords.append(tail.coords[mask])
                     all_values.append(tail.values[mask])
-        if not all_coords:
-            return SparseTensor.empty(store.shape)
-        coords = np.vstack(all_coords)
-        values = np.concatenate(all_values)
-        tensor = SparseTensor(store.shape, coords, values)
-        tensor = tensor.deduplicated(keep="last")
-        if fits_index_dtype(store.shape):
-            return tensor.sorted_by_linear()
-        return tensor.sorted_lexicographic()
+        return _merge_box_parts(store.shape, all_coords, all_values)
+
+
+def _merge_box_parts(
+    shape, all_coords: list[np.ndarray], all_values: list[np.ndarray]
+) -> SparseTensor:
+    """One box read's result: per-fragment parts in commit order (WAL tail
+    last) merged newest-wins and sorted row-major (Algorithm 3 line 12).
+
+    Shapes whose addresses overflow uint64 sort lexicographically.
+    """
+    if not all_coords:
+        return SparseTensor.empty(shape)
+    tensor = SparseTensor(
+        shape, np.vstack(all_coords), np.concatenate(all_values)
+    )
+    # Later parts override earlier ones on the same coordinate.
+    if fits_index_dtype(shape):
+        return tensor.deduplicated(keep="last", sort=True)
+    return tensor.deduplicated(keep="last").sorted_lexicographic()

@@ -41,6 +41,16 @@ class TestBox:
         assert inter.origin == (3, 2)
         assert inter.size == (2, 3)
 
+    def test_covers(self):
+        a = Box((0, 0), (5, 5))
+        assert a.covers(a)
+        assert a.covers(Box((1, 2), (4, 3)))
+        assert not a.covers(Box((1, 2), (5, 3)))  # one past the end
+        assert not a.covers(Box((4, 4), (5, 5)))
+        assert a.covers(Box((9, 9), (0, 1)))  # an empty box
+        with pytest.raises(ShapeError):
+            a.covers(Box((0,), (1,)))
+
     def test_disjoint_intersection_is_empty(self):
         a = Box((0, 0), (2, 2))
         assert a.intersection(Box((5, 5), (2, 2))).is_empty()
@@ -100,6 +110,14 @@ class TestExtractBoundary:
         box = extract_boundary(np.array([[4, 4, 4]], dtype=np.uint64))
         assert box.origin == (4, 4, 4)
         assert box.size == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 1000])
+    def test_matches_columnwise_min_max(self, rng, n):
+        coords = rng.integers(0, 1 << 40, size=(n, 3)).astype(np.uint64)
+        box = extract_boundary(coords)
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        assert box.origin == tuple(int(v) for v in lo)
+        assert box.size == tuple(int(h - l + 1) for l, h in zip(lo, hi))
 
     def test_boundary_shape(self):
         coords = np.array([[2, 5], [7, 3]], dtype=np.uint64)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ShapeError,
@@ -13,6 +15,60 @@ from repro.core import (
     segment_boundaries,
     stable_argsort,
 )
+from repro.core.sorting import FEW_RUNS, PACK_MIN_KEYS
+
+#: Key dtypes: 32- and 64-bit keys, and uint16 (packed into a uint32
+#: word when it fits, else NumPy's radix path).
+KEY_DTYPES = (np.int32, np.int64, np.uint32, np.uint64, np.uint16)
+#: Sizes around every cut-off of the kernel.
+SIZES = (0, 1, 2, PACK_MIN_KEYS - 1, PACK_MIN_KEYS, 3 * PACK_MIN_KEYS)
+LAYOUTS = ("sorted", "few_runs", "runs_at_cutoff", "many_runs", "random",
+           "narrow", "duplicates", "wide")
+
+
+def make_keys(dtype, n: int, layout: str, offset: int, seed: int) -> np.ndarray:
+    """Keys of one layout, shifted by ``offset`` (negative or near 2**64).
+
+    ``few_runs`` concatenates fewer than ``FEW_RUNS`` sorted runs
+    (timsort); ``runs_at_cutoff`` exactly ``FEW_RUNS`` and ``many_runs``
+    dozens (the packed sort).  Keys span up to 2**36 (a ``uint64``
+    word), ``narrow`` and ``duplicates`` keys fit a ``uint32`` word, and
+    ``wide`` keys span the dtype's whole range, so 64-bit keys overflow
+    any word.
+    """
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    if layout == "wide":
+        return rng.integers(info.min, info.max, size=n, dtype=dtype,
+                            endpoint=True)
+    span = min(info.max - max(offset, info.min), 1 << 36)
+    if layout == "narrow":
+        span = min(span, 1 << 16)
+    elif layout == "duplicates":
+        span = 3
+    raw = rng.integers(0, span, size=n, dtype=np.uint64)
+    if layout == "sorted":
+        raw.sort()
+    elif layout in ("few_runs", "runs_at_cutoff", "many_runs"):
+        runs = {
+            "few_runs": FEW_RUNS - 1,
+            "runs_at_cutoff": FEW_RUNS,
+            "many_runs": 8 * FEW_RUNS,
+        }[layout]
+        for chunk in np.array_split(raw, runs):
+            chunk.sort()
+    keys = np.array([offset + int(r) for r in raw], dtype=object)
+    return keys.astype(dtype) if n else np.empty(0, dtype=dtype)
+
+
+def offsets_for(dtype) -> list[int]:
+    info = np.iinfo(dtype)
+    out = [0]
+    if info.min < 0:
+        out.append(-(1 << 20) if info.bits > 32 else -(1 << 16))
+    if dtype is np.uint64:
+        out.append(info.max - (1 << 20))  # near 2**64, narrow span
+    return out
 
 
 class TestStableArgsort:
@@ -28,6 +84,56 @@ class TestStableArgsort:
     def test_rejects_2d(self):
         with pytest.raises(ShapeError):
             stable_argsort(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_matches_numpy_every_branch(self, dtype, layout):
+        for n in SIZES:
+            for offset in offsets_for(dtype):
+                keys = make_keys(dtype, n, layout, offset, seed=n)
+                expected = np.argsort(keys, kind="stable")
+                got = stable_argsort(keys)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (n, offset)
+
+    def test_narrow_keys_too_long_for_a_uint32_word(self):
+        # 16-bit keys plus a 17-bit index need 33 bits: NumPy's radix sort.
+        keys = np.random.default_rng(5).integers(0, 1 << 16, 70_000)
+        keys = keys.astype(np.uint16)
+        assert np.array_equal(
+            stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_other_dtypes(self):
+        rng = np.random.default_rng(3)
+        for keys in (rng.random(2000), rng.integers(0, 2, 2000).astype(bool),
+                     rng.integers(-100, 100, 2000).astype(np.int8)):
+            assert np.array_equal(
+                stable_argsort(keys), np.argsort(keys, kind="stable")
+            )
+
+
+@st.composite
+def key_vectors(draw):
+    dtype = draw(st.sampled_from(KEY_DTYPES))
+    n = draw(st.one_of(
+        st.sampled_from(SIZES),
+        st.integers(min_value=0, max_value=4 * PACK_MIN_KEYS),
+    ))
+    layout = draw(st.sampled_from(LAYOUTS))
+    offset = draw(st.sampled_from(offsets_for(dtype)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return make_keys(dtype, n, layout, offset, seed)
+
+
+class TestStableArgsortProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(key_vectors())
+    def test_equals_numpy_stable_argsort(self, keys):
+        expected = np.argsort(keys, kind="stable")
+        got = stable_argsort(keys)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 class TestLexsortRows:

@@ -76,6 +76,19 @@ class TestDuplicates:
         d = t.deduplicated(keep="first")
         assert d.to_dense()[1, 1] == 1.0
 
+    @pytest.mark.parametrize("keep", ["first", "last"])
+    @pytest.mark.parametrize("shape", [(9, 8, 7), (1 << 40, 1 << 40)])
+    def test_dedup_sort_is_one_sort_of_two(self, rng, keep, shape):
+        coords = np.column_stack(
+            [rng.integers(0, min(m, 6), size=400, dtype=np.uint64)
+             for m in shape]
+        )
+        t = SparseTensor(shape, coords, rng.standard_normal(400))
+        got = t.deduplicated(keep=keep, sort=True)
+        want = t.deduplicated(keep=keep).sorted_lexicographic()
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.values, want.values)
+
     def test_dedup_bad_keep(self, fig1_tensor):
         with pytest.raises(ValueError):
             fig1_tensor.deduplicated(keep="middle")

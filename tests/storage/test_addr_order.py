@@ -206,6 +206,38 @@ class TestShardedOrder:
         out = store.read_points(coords)
         assert out.found.all()
 
+    @pytest.mark.parametrize("fmt", ["LINEAR", "COO-SORTED"])
+    def test_box_reads_match_single_store_in_order(self, tmp_path, fmt):
+        # Bands are cut in ALTO space, which is not row-major: the
+        # per-band results must be merged, not concatenated.
+        shape = (64, 64, 64)
+        rng = np.random.default_rng(11)
+        opts = StoreOptions(addr_order="alto")
+        sharded = ShardedStore(
+            tmp_path / "sh", shape, fmt, n_shards=4, options=opts
+        )
+        single = FragmentStore(tmp_path / "one", shape, fmt, options=opts)
+        for _ in range(2):  # the second batch rewrites some keys
+            coords = rng.integers(0, 64, size=(2500, 3)).astype(np.uint64)
+            values = rng.standard_normal(2500)
+            sharded.write(coords, values)
+            single.write(coords, values)
+        boxes = [Box((0, 0, 0), shape), Box((5, 10, 3), (40, 30, 50))]
+        with sharded.snapshot() as s_snap, single.snapshot() as o_snap:
+            for box in boxes:
+                expected = single.read_box(box)
+                assert expected.nnz > 0
+                for got in (sharded.read_box(box), s_snap.read_box(box),
+                            o_snap.read_box(box)):
+                    assert np.array_equal(got.coords, expected.coords)
+                    assert np.array_equal(got.values, expected.values)
+            queries = coords[::7]
+            expected = single.read_points(queries)
+            for got in (sharded.read_points(queries),
+                        s_snap.read_points(queries)):
+                assert np.array_equal(got.found, expected.found)
+                assert np.array_equal(got.values, expected.values)
+
     def test_conflicting_reopen_rejected(self, tmp_path):
         store = ShardedStore(
             tmp_path / "sh", SHAPE, "LINEAR", n_shards=2,

@@ -108,6 +108,27 @@ class TestZoneMap:
         assert not zm.may_contain_any(np.array([201, 500], dtype=np.uint64))
         assert zm.may_contain_any(np.array([0, 150, 500], dtype=np.uint64))
 
+    def test_may_contain_any_empty_middle_bucket(self):
+        a = np.concatenate([
+            np.arange(0, 10, dtype=np.uint64),
+            np.arange(1590, 1600, dtype=np.uint64),
+        ])
+        zm = ZoneMap.from_addresses(a)
+        assert not zm.may_contain_any(np.array([700, 800], dtype=np.uint64))
+        assert zm.may_contain_any(np.array([5, 700], dtype=np.uint64))
+
+    def test_overlaps_any_matches_per_range_scan(self, rng):
+        for _ in range(300):
+            addrs = np.unique(rng.integers(0, 4000, size=rng.integers(1, 40)))
+            zm = ZoneMap.from_addresses(addrs.astype(np.uint64))
+            cuts = np.unique(rng.integers(0, 5000, size=2 * rng.integers(0, 12)))
+            ranges = [
+                (int(lo), int(hi))
+                for lo, hi in zip(cuts[::2], cuts[1::2])
+            ]
+            expected = any(zm.overlaps_range(lo, hi) for lo, hi in ranges)
+            assert zm.overlaps_any(ranges) == expected, (ranges, addrs)
+
     def test_huge_addresses_do_not_overflow(self):
         # Near the top of the uint64 address space: span math must run in
         # arbitrary precision, bucketing in uint64.
