@@ -513,8 +513,6 @@ class QueryPlanner:
         *,
         kind: str,
         enabled: bool = True,
-        sorted_addresses: np.ndarray | None = None,
-        address_range: tuple[int, int] | None = None,
         keys: QueryKeys | None = None,
         addr_order: str | None = None,
     ) -> QueryPlan:
@@ -523,16 +521,14 @@ class QueryPlanner:
         With ``enabled=False`` this is exactly the seed's linear
         ``bbox.intersects`` scan (the plan-off reference the differential
         harness compares against).  Otherwise the interval index supplies
-        the bbox survivors and, when the caller provides query addresses
-        (points) or an address envelope (boxes), zone maps prune further.
-        Fragments without a zone map are never pruned by the zone stage.
+        the bbox survivors and, when the caller provides ``keys`` (a
+        :class:`QueryKeys`), zone maps prune further.  Fragments without
+        a zone map are never pruned by the zone stage.
 
-        ``keys`` (a :class:`QueryKeys`) supersedes ``sorted_addresses``
-        / ``address_range``: every surviving fragment is pruned against
-        the query keys expressed in *its own* address order
-        (``frag.addr_order``), so mixed-order stores prune correctly —
-        and ALTO box queries prune per contiguous interval instead of
-        one giant span.  ``addr_order`` is the store's active order,
+        Every surviving fragment is pruned against the query keys
+        expressed in *its own* address order (``frag.addr_order``), so
+        mixed-order stores prune correctly — and ALTO box queries prune
+        per contiguous interval instead of one giant span.  ``addr_order`` is the store's active order,
         carried into the plan for ``explain``.
         """
         total = len(fragments)
@@ -553,32 +549,21 @@ class QueryPlanner:
         for i in cand:
             frag = index.fragments[i]
             zone = getattr(frag, "zone", None)
-            if zone is not None:
-                if keys is not None:
-                    forder = getattr(frag, "addr_order", "row_major")
-                    sa = keys.addresses(forder)
-                    if sa is not None:
+            if zone is not None and keys is not None:
+                forder = getattr(frag, "addr_order", "row_major")
+                sa = keys.addresses(forder)
+                if sa is not None:
+                    used_zone = True
+                    if not zone.may_contain_any(sa):
+                        pruned_zone += 1
+                        continue
+                else:
+                    ranges = keys.ranges(forder)
+                    if ranges is not None:
                         used_zone = True
-                        if not zone.may_contain_any(sa):
+                        if not zone.overlaps_any(ranges):
                             pruned_zone += 1
                             continue
-                    else:
-                        ranges = keys.ranges(forder)
-                        if ranges is not None:
-                            used_zone = True
-                            if not zone.overlaps_any(ranges):
-                                pruned_zone += 1
-                                continue
-                elif sorted_addresses is not None:
-                    used_zone = True
-                    if not zone.may_contain_any(sorted_addresses):
-                        pruned_zone += 1
-                        continue
-                elif address_range is not None:
-                    used_zone = True
-                    if not zone.overlaps_range(*address_range):
-                        pruned_zone += 1
-                        continue
             keep.append(frag)
         intervals = None
         if keys is not None:

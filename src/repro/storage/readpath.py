@@ -1,9 +1,10 @@
-"""Concurrent READ pipeline: decoded-fragment cache + bounded fan-out.
+"""The READ path: one executor, decoded-fragment cache, bounded fan-out.
 
 Algorithm 3's READ is embarrassingly parallel across fragments — each
 overlapping fragment is loaded, decoded, and queried independently, and
-only the final address-sorted merge is sequential.  This module supplies
-the two pieces the store layer composes into that pipeline:
+only the final address-sorted merge is sequential.  This module holds
+the executor every store and snapshot read runs, and the pieces it is
+built from:
 
 :class:`FragmentCache`
     A bytes-bounded, thread-safe LRU of *decoded* fragment payloads.  The
@@ -32,12 +33,25 @@ the two pieces the store layer composes into that pipeline:
     share the lock, mutations exclude reads, and a compaction can never
     delete fragment files out from under an in-flight read.
 
-Fragment *selection* happens before any of this: the store builds one
-:class:`~repro.storage.planner.QueryPlan` per query (spatial index +
-zone-map pruning, see :mod:`repro.storage.planner` and
-``docs/QUERY_PLANNER.md``), and the same plan's fragment list feeds both
-the sequential loop and the parallel fan-out — so the two execution modes
-always visit identical fragment sets and merge identical results.
+The executor:
+
+:class:`ReadView`
+    What one READ runs over: the fragment tuple in commit (newest-wins)
+    order, the optional WAL :class:`~repro.storage.wal.TailRun`, the
+    manifest generation, a :class:`~repro.storage.planner.QueryPlanner`
+    and the ``on_corruption`` policy.  A live
+    :class:`~repro.storage.store.FragmentStore` captures one under its
+    read lock per call; a :class:`~repro.storage.store.StoreSnapshot`
+    holds one pinned view with a planner of its own and ``"raise"``.
+:func:`execute_points` / :func:`execute_box` / :func:`explain_read`
+    Algorithm 3's READ over a view, once: plan (interval index +
+    zone maps, see :mod:`repro.storage.planner`), run each surviving
+    fragment's organization READ (inline or on the shared pool), overlay
+    the WAL tail, merge.  Stores and snapshots differ only in the view
+    they pass, so they plan, fan out, count and trace identically; the
+    plan's fragment list feeds both the sequential loop and the parallel
+    fan-out, so the two modes visit the same fragments and merge the
+    same results.
 
 See ``docs/READ_PATH.md`` for the full pipeline description and guidance
 on when ``parallel="thread"`` helps (fragment count × per-fragment decode
@@ -50,11 +64,26 @@ import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TypeVar
 
-from ..obs import counter_add, gauge_set
+import numpy as np
 
-#: Read-side parallelism modes (``read_points(parallel=...)``).
+from ..core.boundary import Box, extract_boundary
+from ..core.costmodel import OpCounter
+from ..core.dtypes import as_index_array, fits_index_dtype
+from ..core.errors import FragmentError, ShapeError
+from ..core.linearize import linearize
+from ..core.tensor import SparseTensor
+from ..obs import counter_add, gauge_set, span
+from ..readapi import ReadOutcome
+from .options import ReadOptions
+from .planner import QueryPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .planner import QueryKeys, QueryPlanner
+    from .wal import TailRun
+
+#: Read-side parallelism modes (``ReadOptions.parallel``).
 PARALLEL_MODES = ("none", "thread")
 
 #: Upper bound on the shared read pool (per process).
@@ -71,7 +100,7 @@ _pool: ThreadPoolExecutor | None = None
 
 
 def validate_parallel(parallel: str) -> str:
-    """Validate a ``parallel=`` argument (shared by every read entry point)."""
+    """Validate a ``ReadOptions.parallel`` value."""
     if parallel not in PARALLEL_MODES:
         raise ValueError(
             f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
@@ -354,13 +383,333 @@ class _Held:
         self._release()
 
 
+class ReadView(NamedTuple):
+    """What one READ runs over (see the module docstring)."""
+
+    #: Fragments in commit order — the merge's newest-wins order.
+    fragments: tuple
+    tail: "TailRun | None"
+    generation: int
+    planner: "QueryPlanner"
+    #: ``"raise"`` / ``"skip"`` / ``"quarantine"``.
+    on_corruption: str
+
+
+def _plan_view(
+    store, view: ReadView, query_box: Box, kind: str,
+    keys: "QueryKeys | None",
+) -> QueryPlan:
+    """The visit plan of one READ over ``view`` (never loads a fragment)."""
+    return view.planner.plan(
+        view.fragments,
+        view.generation,
+        query_box,
+        kind=kind,
+        enabled=store.use_planner,
+        keys=keys,
+        addr_order=store.addr_order,
+    )
+
+
+def _run_fragment_tasks(
+    store,
+    policy: str,
+    frags: list,
+    task: Callable[[Any], object],
+    options: ReadOptions,
+) -> list[tuple[Any, object]]:
+    """Run one read task per fragment; corruption policy applied in order.
+
+    Sequentially (``parallel="none"``) each task runs — and its
+    corruption is handled — as soon as it is reached.  With
+    ``parallel="thread"`` all tasks fan out over the shared read pool and
+    the results are *merged in fragment order*, with the policy applied
+    in that same order, so the outcome (raise / skip / quarantine,
+    counters, warnings) is identical to the sequential path.  Skipped
+    fragments yield ``None`` results.
+    """
+    out: list[tuple[Any, object]] = []
+    if options.parallel != "thread" or len(frags) <= 1:
+        # Inline: a corrupt fragment is handled (or raises) the moment
+        # it is reached, before any later fragment is touched.
+        for frag in frags:
+            try:
+                out.append((frag, task(frag)))
+            except FragmentError as exc:
+                store._note_corruption(frag, exc, policy)
+                if policy == "raise":
+                    raise
+                out.append((frag, None))
+        return out
+    results = map_fragments_ordered(
+        frags, task, max_workers=options.max_workers
+    )
+    for frag, (result, exc) in zip(frags, results):
+        if exc is None:
+            out.append((frag, result))
+            continue
+        if not isinstance(exc, FragmentError):
+            raise exc
+        store._note_corruption(frag, exc, policy)
+        if policy == "raise":
+            raise exc
+        out.append((frag, None))
+    return out
+
+
+def _record_pruning(plan: QueryPlan) -> None:
+    """Account one READ fan-out's pruning, stage by stage.
+
+    ``store.fragments_pruned`` keeps its pre-planner meaning — bbox
+    overlap prunes only — so dashboards built on it read unchanged;
+    planner-specific prunes land exclusively in the ``store.plan.*``
+    counters.
+    """
+    counter_add("store.fragments_visited", len(plan.fragments))
+    counter_add("store.fragments_pruned", plan.pruned_bbox)
+    if plan.used_index and plan.pruned_bbox:
+        counter_add("store.plan.fragments_pruned_index", plan.pruned_bbox)
+    if plan.pruned_zonemap:
+        counter_add(
+            "store.plan.fragments_pruned_zonemap", plan.pruned_zonemap
+        )
+
+
+def check_query(query_coords, shape) -> np.ndarray:
+    """A point query as a ``(q, d)`` index array matching ``shape``."""
+    query = as_index_array(query_coords)
+    if query.ndim != 2 or query.shape[1] != len(shape):
+        raise ShapeError("query coords must be (q, d) matching the store")
+    return query
+
+
+def execute_points(
+    store,
+    view: ReadView,
+    query_coords: np.ndarray,
+    options: ReadOptions | None = None,
+    keys: "QueryKeys | None" = None,
+) -> ReadOutcome:
+    """Algorithm 3 READ of a point query over ``view``.
+
+    ``store`` is the :class:`~repro.storage.store.FragmentStore` that
+    owns the view's fragments (its cache, retry policy, rebasing and
+    workload ledger).  Later fragments win on duplicate coordinates and
+    the WAL tail wins over every fragment; results come back aligned
+    with the query buffer.  ``keys`` are the planner keys of exactly
+    ``query_coords`` when the caller already holds them (a sharded
+    parent passes each band its slice of one sort).
+    """
+    ropts = ReadOptions() if options is None else options
+    query = check_query(query_coords, store.shape)
+    q = query.shape[0]
+    found = np.zeros(q, dtype=bool)
+    if q == 0:
+        return ReadOutcome(found, np.empty(0), 0, 0)
+    use_threads = ropts.parallel == "thread"
+    query_box = extract_boundary(query)
+    if keys is None:
+        keys = store._query_keys(points=query)
+    out_values: np.ndarray | None = None
+
+    def point_task(frag):
+        payload = store._load_payload(frag, check_crc=ropts.check_crc)
+        # ``rows is None``: the fragment's box covers the whole query.
+        rows = None
+        sub = query
+        if not frag.bbox.covers(query_box):
+            rows = frag.bbox.contains_points(query).nonzero()[0]
+            if rows.size == 0:
+                return None
+            sub = np.take(query, rows, axis=0)
+        # Worker threads charge a private counter, folded into the
+        # span's counter at merge time (OpCounter is lock-free).
+        ops = OpCounter() if use_threads else sp.ops
+        res, vals = store._fragment_points(
+            frag, payload, sub, faithful=ropts.faithful, counter=ops
+        )
+        return rows, res, vals, ops
+
+    with span("store.read_points", format=store.format_name) as sp:
+        plan = _plan_view(store, view, query_box, "points", keys)
+        for frag, result in _run_fragment_tasks(
+            store, view.on_corruption, plan.fragments, point_task, ropts
+        ):
+            if result is None:
+                continue
+            rows, res, vals, ops = result
+            if use_threads:
+                sp.ops.absorb(ops)
+            if out_values is None:
+                out_values = np.zeros(q, dtype=vals.dtype)
+            idx = res.found.nonzero()[0]
+            if rows is not None:
+                idx = rows[idx]
+            found[idx] = True
+            out_values[idx] = vals
+            store.workload_ledger.record_point_read(
+                frag.path.name,
+                queried=q if rows is None else int(rows.size),
+                matched=int(idx.size),
+            )
+        # WAL tail overlay: the unpacked tail is newer than every
+        # committed fragment, so its hits overwrite — exactly as if the
+        # tail were one final appended fragment.  It lives in row-major
+        # address space whatever the store's order (appends must not pay
+        # an interleave), so its keys are row-major too.
+        tail = view.tail
+        if tail is not None and tail.n:
+            qaddrs = linearize(query, store.shape, validate=False)
+            if tail.zone is None or tail.zone.may_contain_any(
+                np.sort(qaddrs)
+            ):
+                pos = np.searchsorted(tail.addresses, qaddrs)
+                in_range = pos < tail.addresses.shape[0]
+                hit = np.zeros(q, dtype=bool)
+                hit[in_range] = (
+                    tail.addresses[pos[in_range]] == qaddrs[in_range]
+                )
+                if hit.any():
+                    vals = tail.values[pos[hit]]
+                    if out_values is None:
+                        out_values = np.zeros(q, dtype=vals.dtype)
+                    found[hit] = True
+                    out_values[hit] = vals
+        matched = int(np.count_nonzero(found))
+        sp.add_nnz(matched)
+    _record_pruning(plan)
+    counter_add("store.points_queried", q)
+    counter_add("store.points_matched", matched)
+    if out_values is None:
+        out_values = np.zeros(q, dtype=float)
+    return ReadOutcome(
+        found=found,
+        values=out_values[found],
+        fragments_visited=len(plan.fragments),
+        points_matched=matched,
+    )
+
+
+def execute_box(
+    store,
+    view: ReadView,
+    box: Box,
+    options: ReadOptions | None = None,
+    keys: "QueryKeys | None" = None,
+) -> SparseTensor:
+    """Algorithm 3 READ of ``box`` over ``view``, merged and sorted.
+
+    Uses each organization's structural range read, so work scales with
+    stored points, not box volume.  Later fragments (and the WAL tail
+    after all of them) win on duplicate coordinates; see
+    :func:`merge_box_parts` for the result order.  ``faithful`` does not
+    apply: box reads are always structural.
+    """
+    ropts = ReadOptions() if options is None else options
+    if keys is None:
+        keys = store._query_keys(box=box)
+
+    def box_task(frag):
+        payload = store._load_payload(frag, check_crc=ropts.check_crc)
+        return store._fragment_box(frag, payload, box)
+
+    all_coords: list[np.ndarray] = []
+    all_values: list[np.ndarray] = []
+    with span("store.read_box", format=store.format_name) as sp:
+        plan = _plan_view(store, view, box, "box", keys)
+        for frag, result in _run_fragment_tasks(
+            store, view.on_corruption, plan.fragments, box_task, ropts
+        ):
+            if result is None:
+                continue
+            coords, values = result
+            all_coords.append(coords)
+            all_values.append(values)
+            store.workload_ledger.record_box_read(
+                frag.path.name, matched=int(values.shape[0])
+            )
+        # WAL tail overlay, appended last: the keep-last dedup of the
+        # merge then gives the tail's points the same newest-wins
+        # priority an appended fragment would have.
+        tail = view.tail
+        if tail is not None and tail.n:
+            envelope = store._box_envelope(box)
+            if (
+                tail.zone is None or envelope is None
+                or tail.zone.overlaps_range(*envelope)
+            ):
+                mask = box.contains_points(tail.coords)
+                if mask.any():
+                    all_coords.append(tail.coords[mask])
+                    all_values.append(tail.values[mask])
+        sp.add_nnz(sum(c.shape[0] for c in all_coords))
+    _record_pruning(plan)
+    return merge_box_parts(store.shape, all_coords, all_values)
+
+
+def explain_read(
+    store,
+    view: ReadView,
+    query,
+    options: ReadOptions | None = None,
+    keys: "QueryKeys | None" = None,
+) -> QueryPlan:
+    """The plan :func:`execute_points` / :func:`execute_box` would use
+    for ``query`` (a coordinate buffer or a :class:`Box`), with the
+    per-codec bytes the visit list touches — nothing is loaded."""
+    if isinstance(query, Box):
+        if keys is None:
+            keys = store._query_keys(box=query)
+        plan = _plan_view(store, view, query, "box", keys)
+    else:
+        query = check_query(query, store.shape)
+        if query.shape[0] == 0:
+            return QueryPlan(
+                kind="points",
+                total_fragments=len(view.fragments),
+                addr_order=store.addr_order,
+            )
+        if keys is None:
+            keys = store._query_keys(points=query)
+        plan = _plan_view(
+            store, view, extract_boundary(query), "points", keys
+        )
+    plan.codec_bytes = store._aggregate_codecs(plan.fragments)
+    return plan
+
+
+def merge_box_parts(
+    shape, all_coords: list[np.ndarray], all_values: list[np.ndarray]
+) -> SparseTensor:
+    """One box read's result: per-fragment parts in commit order (WAL tail
+    last) merged newest-wins and sorted row-major (Algorithm 3 line 12).
+
+    Shapes whose addresses overflow uint64 sort lexicographically.
+    """
+    if not all_coords:
+        return SparseTensor.empty(shape)
+    tensor = SparseTensor(
+        shape, np.vstack(all_coords), np.concatenate(all_values)
+    )
+    # Later parts override earlier ones on the same coordinate.
+    if fits_index_dtype(shape):
+        return tensor.deduplicated(keep="last", sort=True)
+    return tensor.deduplicated(keep="last").sorted_lexicographic()
+
+
 __all__ = [
     "FragmentCache",
     "MAX_READ_WORKERS",
     "PARALLEL_MODES",
     "RWLock",
+    "ReadView",
+    "check_query",
+    "execute_box",
+    "execute_points",
+    "explain_read",
     "get_read_executor",
     "map_fragments_ordered",
+    "merge_box_parts",
     "payload_nbytes",
     "shutdown_read_executor",
     "validate_parallel",

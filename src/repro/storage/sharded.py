@@ -57,11 +57,10 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,22 +87,15 @@ from .durability import (
     TMP_SUFFIX,
     FsckIssue,
     FsckReport,
-    RetryPolicy,
     clean_temp_files,
     fsck as _fsck_store,
     write_bytes_atomic,
 )
-from .options import (
-    UNSET,
-    ReadOptions,
-    StoreOptions,
-    resolve_read_options,
-    resolve_store_options,
-)
+from .options import ReadOptions, StoreOptions
 from .fragment import FragmentInfo
 from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
-from .readpath import RWLock
-from .store import FragmentStore, WriteReceipt
+from .readpath import RWLock, check_query, execute_box, execute_points
+from .store import FragmentStore, StoreSnapshot, WriteReceipt
 
 #: Parent manifest file name.  Deliberately distinct from the child
 #: stores' ``manifest.json`` so a sharded directory is self-identifying
@@ -215,8 +207,7 @@ class ShardedStore:
     creation; reopening an existing sharded directory adopts the
     committed band table (``n_shards`` is ignored).  All construction
     tuning arrives as one :class:`~repro.storage.options.StoreOptions`
-    (the bare keywords are warn-once deprecation shims) and is applied
-    to every child store; reads take the matching
+    and is applied to every child store; reads take the matching
     :class:`~repro.storage.options.ReadOptions`.
 
     ``split_nnz`` / ``merge_nnz`` arm automatic re-banding: after each
@@ -236,28 +227,8 @@ class ShardedStore:
         split_nnz: int | None = None,
         merge_nnz: int | None = None,
         options: StoreOptions | None = None,
-        relative_coords: bool = UNSET,
-        fsync: bool = UNSET,
-        codec: str | None = UNSET,
-        on_corruption: str = UNSET,
-        retry: RetryPolicy | None = UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
-        opts = resolve_store_options(
-            options,
-            relative_coords=relative_coords,
-            fsync=fsync,
-            codec=codec,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
+        opts = options if options is not None else StoreOptions()
         self.directory = Path(directory)
         self.shape = tuple(int(m) for m in shape)
         if not fits_index_dtype(self.shape):
@@ -739,49 +710,13 @@ class ShardedStore:
     # READ: parent-level pruning, per-shard fan-out
     # ------------------------------------------------------------------
 
-    def _plan_shards(
-        self,
-        query_box: Box,
-        kind: str,
-        *,
-        keys: QueryKeys | None = None,
-    ) -> QueryPlan:
-        """Prune whole shards with the unmodified fragment planner.
-
-        :class:`ShardEntry` duck-types a fragment (bbox/nnz/zone/path/
-        addr_order), so the same interval index + zone-map stages that
-        prune fragments inside one store here prune entire shard
-        directories — before any child manifest is opened.  ``keys``
-        carries the query's per-order addresses/intervals; the zone
-        stage evaluates each entry in the store's active order.
-        """
+    def _bands(self) -> "_Bands":
+        """The live band view; call under the read lock."""
         with self._state_lock:
-            entries = [
-                e if e.bbox is not None else
-                ShardEntry(
-                    name=e.name, path=e.path, addr_lo=e.addr_lo,
-                    addr_hi=e.addr_hi, epoch=e.epoch, nnz=0,
-                    bbox=_empty_box(len(self.shape)),
-                    addr_order=self.addr_order,
-                )
-                for e in self._entries
-            ]
-            generation = self._generation
-        plan = self._planner.plan(
-            entries,
-            generation,
-            query_box,
-            kind=kind,
-            enabled=self.use_planner,
-            keys=keys,
-            addr_order=self.addr_order,
-        )
-        counter_add("store.shard.visited", len(plan.fragments))
-        counter_add(
-            "store.shard.pruned",
-            plan.total_fragments - len(plan.fragments),
-        )
-        return plan
+            return _Bands(
+                tuple(self._entries), self._child, self._generation,
+                self._planner,
+            )
 
     def _query_keys(
         self,
@@ -797,25 +732,16 @@ class ShardedStore:
     def explain(self, query) -> QueryPlan:
         """The *shard-level* plan a read of ``query`` would use."""
         if isinstance(query, Box):
-            return self._plan_shards(
-                query, "box", keys=self._query_keys(box=query)
-            )
-        query = as_index_array(query)
-        return self._plan_shards(
-            extract_boundary(query),
-            "points",
-            keys=self._query_keys(points=query),
-        )
+            box, kind, keys = query, "box", self._query_keys(box=query)
+        else:
+            query = as_index_array(query)
+            box = extract_boundary(query)
+            kind, keys = "points", self._query_keys(points=query)
+        with self._rw.read_locked():
+            return _plan_bands(self, self._bands(), box, kind, keys)
 
     def read_points(
-        self,
-        query_coords: np.ndarray,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None
     ) -> ReadOutcome:
         """Point reads, routed: each query point belongs to exactly one
         band, so per-shard sub-queries merge back disjointly.
@@ -825,66 +751,13 @@ class ShardedStore:
         reorders fragments within a shard, and bands are disjoint so no
         cross-shard duplicate can exist.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        query = _check_query(query_coords, self.shape)
-        q = query.shape[0]
-        if q == 0:
-            return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
-        order = self.addr_order
         with self._rw.read_locked():
-            with span("store.shard.read_points",
-                      format=self.format_name) as sp:
-                perm, sorted_addrs, bounds = _route_points(
-                    linearize_order(query, self.shape, order, validate=False),
-                    self._cuts(),
-                )
-                keys = None
-                if self.use_planner:
-                    keys = QueryKeys(
-                        self.shape, points=query,
-                        addresses={order: sorted_addrs},
-                    )
-                plan = self._plan_shards(
-                    extract_boundary(query), "points", keys=keys
-                )
-                surviving = {e.name for e in plan.fragments}
-
-                def routed():
-                    for i, entry in enumerate(self._entries):
-                        lo, hi = bounds[i], bounds[i + 1]
-                        if lo == hi or entry.name not in surviving:
-                            continue
-                        rows = perm[lo:hi]
-                        sub = np.take(query, rows, axis=0)
-                        sub_keys = None
-                        if keys is not None:
-                            sub_keys = QueryKeys(
-                                self.shape, points=sub,
-                                addresses={order: sorted_addrs[lo:hi]},
-                            )
-                        yield rows, self._child(i).read_points(
-                            sub, options=ropts, keys=sub_keys
-                        )
-
-                outcome = _gather_routed(q, routed())
-                sp.add_nnz(outcome.points_matched)
-        return outcome
+            return _read_points_banded(
+                self, self._bands(), query_coords, options
+            )
 
     def read_box(
-        self,
-        box: Box,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
+        self, box: Box, *, options: ReadOptions | None = None
     ) -> SparseTensor:
         """Box reads fanned across surviving shards, merged row-major.
 
@@ -893,27 +766,8 @@ class ShardedStore:
         disjoint — no cross-shard dedup pass exists, by construction —
         and :func:`_merge_bands` merges them into row-major order.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        parts: list[SparseTensor] = []
         with self._rw.read_locked():
-            with span("store.shard.read_box", format=self.format_name):
-                plan = self._plan_shards(
-                    box, "box", keys=self._query_keys(box=box)
-                )
-                surviving = {e.name for e in plan.fragments}
-                for i, entry in enumerate(self._entries):
-                    if entry.name not in surviving:
-                        continue
-                    part = self._child(i).read_box(box, options=ropts)
-                    if part.nnz:
-                        parts.append(part)
-        return _merge_bands(self.shape, parts)
+            return _read_box_banded(self, self._bands(), box, options)
 
     # ------------------------------------------------------------------
     # Maintenance: parallel compaction, split, merge
@@ -1224,7 +1078,10 @@ class ShardedStore:
         children: list = []
         try:
             with self._rw.read_locked():
-                entries = tuple(self._entries)
+                # Copies: writes, packs and compactions update the live
+                # entries' stats in place, and the view plans over these.
+                entries = tuple(replace(e) for e in self._entries)
+                generation = self._generation
                 for i in range(len(entries)):
                     children.append(self._child(i).snapshot())
         except BaseException:
@@ -1232,9 +1089,7 @@ class ShardedStore:
                 snap.close()
             raise
         counter_add("store.shard.snapshots")
-        return ShardedSnapshot(
-            self.shape, entries, children, addr_order=self.addr_order
-        )
+        return ShardedSnapshot(self, entries, children, generation)
 
     def gc(self, *, keep_generations: int | None = None) -> int:
         """Run retention GC in every shard; returns total files deleted."""
@@ -1264,21 +1119,29 @@ class ShardedSnapshot:
     """A pinned, read-only view across one :class:`ShardedStore`.
 
     Composes one :class:`~repro.storage.store.StoreSnapshot` per band,
-    captured together under the parent read lock.  Bands are disjoint,
-    so routed point reads and merged box reads are bit-identical to the
-    single-store snapshot semantics.  Closing releases every child pin;
-    snapshots are context managers and also release on garbage
-    collection.
+    captured together under the parent read lock with a copy of the band
+    table's per-shard stats.  Reads run the parent's routed path over
+    that pinned table — shard pruning included, with a planner of the
+    view's own — so they are bit-identical to the single-store snapshot
+    semantics.  Closing releases every child pin; snapshots are context
+    managers and also release on garbage collection.
     """
 
     def __init__(
-        self, shape, entries, children,
-        addr_order: str = DEFAULT_ADDRESS_ORDER,
+        self,
+        store: ShardedStore,
+        entries: tuple[ShardEntry, ...],
+        children: list[StoreSnapshot],
+        generation: int,
     ) -> None:
-        self.shape = tuple(shape)
-        self._entries = tuple(entries)
+        self.shape = store.shape
+        self.format_name = store.format_name
+        self.addr_order = store.addr_order
+        self.use_planner = store.use_planner
         self._children = tuple(children)
-        self.addr_order = addr_order
+        self._view = _Bands(
+            entries, self._children.__getitem__, generation, QueryPlanner()
+        )
 
     @property
     def nnz(self) -> int:
@@ -1306,45 +1169,131 @@ class ShardedSnapshot:
         self.close()
 
     def read_points(
-        self, query_coords: np.ndarray, **kwargs
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None
     ) -> ReadOutcome:
         """Routed point reads against the pinned per-band views."""
-        query = _check_query(query_coords, self.shape)
-        q = query.shape[0]
-        if q == 0:
-            return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
-        perm, _, bounds = _route_points(
-            linearize_order(
-                query, self.shape, self.addr_order, validate=False
-            ),
-            np.asarray([e.addr_lo for e in self._entries], dtype=np.uint64),
+        return _read_points_banded(self, self._view, query_coords, options)
+
+    def read_box(
+        self, box: Box, *, options: ReadOptions | None = None
+    ) -> SparseTensor:
+        """Box reads fanned across the pinned views, merged row-major."""
+        return _read_box_banded(self, self._view, box, options)
+
+
+class _Bands(NamedTuple):
+    """What one sharded READ runs over: the band table, each band's
+    reader (a child store or child snapshot), a generation and a planner."""
+
+    entries: tuple[ShardEntry, ...]
+    child: Callable[[int], "FragmentStore | StoreSnapshot"]
+    generation: int
+    planner: QueryPlanner
+
+
+def _plan_bands(
+    owner, bands: _Bands, query_box: Box, kind: str,
+    keys: QueryKeys | None,
+) -> QueryPlan:
+    """Prune whole shards with the unmodified fragment planner.
+
+    :class:`ShardEntry` duck-types a fragment (bbox/nnz/zone/path/
+    addr_order), so the same interval index + zone-map stages that
+    prune fragments inside one store here prune entire shard
+    directories — before any child manifest is opened.  ``keys``
+    carries the query's per-order addresses/intervals; the zone stage
+    evaluates each entry in the store's active order.  ``owner`` is the
+    :class:`ShardedStore` or :class:`ShardedSnapshot` reading.
+    """
+    entries = [
+        e if e.bbox is not None else
+        replace(e, nnz=0, bbox=_empty_box(len(owner.shape)))
+        for e in bands.entries
+    ]
+    plan = bands.planner.plan(
+        entries,
+        bands.generation,
+        query_box,
+        kind=kind,
+        enabled=owner.use_planner,
+        keys=keys,
+        addr_order=owner.addr_order,
+    )
+    counter_add("store.shard.visited", len(plan.fragments))
+    counter_add(
+        "store.shard.pruned", plan.total_fragments - len(plan.fragments)
+    )
+    return plan
+
+
+def _read_points_banded(
+    owner, bands: _Bands, query_coords, options: ReadOptions | None
+) -> ReadOutcome:
+    """Route a point query by band, plan the shards, read each surviving
+    band's rows from its reader with that band's slice of one sort as
+    planner keys, and scatter the answers back (:func:`_gather_routed`)."""
+    shape, order = owner.shape, owner.addr_order
+    query = check_query(query_coords, shape)
+    q = query.shape[0]
+    if q == 0:
+        return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
+    with span("store.shard.read_points", format=owner.format_name) as sp:
+        perm, sorted_addrs, bounds = _route_points(
+            linearize_order(query, shape, order, validate=False),
+            np.asarray([e.addr_lo for e in bands.entries], dtype=np.uint64),
         )
+        keys = None
+        if owner.use_planner:
+            keys = QueryKeys(
+                shape, points=query, addresses={order: sorted_addrs}
+            )
+        plan = _plan_bands(
+            owner, bands, extract_boundary(query), "points", keys
+        )
+        surviving = {e.name for e in plan.fragments}
 
         def routed():
-            for child, lo, hi in zip(self._children, bounds, bounds[1:]):
-                if lo < hi:
-                    rows = perm[lo:hi]
-                    yield rows, child.read_points(
-                        np.take(query, rows, axis=0), **kwargs
+            for i, entry in enumerate(bands.entries):
+                lo, hi = bounds[i], bounds[i + 1]
+                if lo == hi or entry.name not in surviving:
+                    continue
+                rows = perm[lo:hi]
+                sub = np.take(query, rows, axis=0)
+                sub_keys = None
+                if keys is not None:
+                    sub_keys = QueryKeys(
+                        shape, points=sub,
+                        addresses={order: sorted_addrs[lo:hi]},
                     )
+                yield rows, bands.child(i)._execute(
+                    execute_points, sub, options, sub_keys
+                )
 
-        return _gather_routed(q, routed())
+        outcome = _gather_routed(q, routed())
+        sp.add_nnz(outcome.points_matched)
+    return outcome
 
-    def read_box(self, box: Box, **kwargs) -> SparseTensor:
-        """Box reads fanned across the pinned views, merged row-major."""
-        parts = []
-        for child in self._children:
-            part = child.read_box(box, **kwargs)
+
+def _read_box_banded(
+    owner, bands: _Bands, box: Box, options: ReadOptions | None
+) -> SparseTensor:
+    """Plan the shards for ``box``, read each surviving band, merge the
+    disjoint per-band results (:func:`_merge_bands`).  Every band shares
+    one set of planner keys: a box's keys do not depend on the band."""
+    parts: list[SparseTensor] = []
+    with span("store.shard.read_box", format=owner.format_name):
+        keys = None
+        if owner.use_planner:
+            keys = QueryKeys(owner.shape, box=box)
+        plan = _plan_bands(owner, bands, box, "box", keys)
+        surviving = {e.name for e in plan.fragments}
+        for i, entry in enumerate(bands.entries):
+            if entry.name not in surviving:
+                continue
+            part = bands.child(i)._execute(execute_box, box, options, keys)
             if part.nnz:
                 parts.append(part)
-        return _merge_bands(self.shape, parts)
-
-
-def _check_query(query_coords, shape) -> np.ndarray:
-    query = as_index_array(query_coords)
-    if query.ndim != 2 or query.shape[1] != len(shape):
-        raise ShapeError("query coords must be (q, d) matching the store")
-    return query
+    return _merge_bands(owner.shape, parts)
 
 
 def _route_points(

@@ -22,13 +22,16 @@ gracefully under the ``on_corruption`` policy (``"raise"`` / ``"skip"`` /
 ``"quarantine"``) with bounded retries for transient I/O errors.
 
 Read pipeline (see :mod:`repro.storage.readpath` and ``docs/READ_PATH.md``):
-``read_points`` / ``read_box`` accept ``parallel="thread"`` to fan the
-per-fragment load + decode + query out over a shared bounded thread pool
-(merge order and corruption semantics identical to the sequential path),
-and ``cache_bytes`` enables a bytes-bounded LRU of decoded fragments that
-is invalidated on every manifest generation change.  One store is safe
-under mixed concurrent read/write/compact traffic: mutations take the
-store's writer lock, reads share the reader side.
+``read_points`` / ``read_box`` hand the executor in :mod:`~repro.storage.
+readpath` a read view — the live one here, a pinned one from a
+:class:`StoreSnapshot` — so both kinds of read run the same code.
+``ReadOptions(parallel="thread")`` fans the per-fragment load + decode +
+query out over a shared bounded thread pool (merge order and corruption
+semantics identical to the sequential path), and
+``StoreOptions.cache_bytes`` enables a bytes-bounded LRU of decoded
+fragments that is invalidated on every manifest generation change.  One
+store is safe under mixed concurrent read/write/compact traffic:
+mutations take the store's writer lock, reads share the reader side.
 
 Query planning (see :mod:`repro.storage.planner` and
 ``docs/QUERY_PLANNER.md``): every read first builds a :class:`QueryPlan`
@@ -66,13 +69,13 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..build.canonical import CanonicalCoords
 from ..build.merge import SortedRun, merge_sorted_runs
-from ..core.boundary import Box, extract_boundary
+from ..core.boundary import Box
 from ..core.costmodel import OpCounter
 from ..core.dtypes import as_index_array, fits_index_dtype
 from ..core.errors import FragmentError, ManifestError, ShapeError
@@ -96,7 +99,6 @@ from .durability import (
 )
 from .durability import (
     FsckReport,
-    RetryPolicy,
     clean_temp_files,
     file_crc,
     fragment_file_crc,
@@ -115,21 +117,16 @@ from .fragment import (
     record_fragment_written,
     write_fragment,
 )
-from .options import (
-    CORRUPTION_POLICIES,
-    CRC_MODES,
-    UNSET,
-    ReadOptions,
-    StoreOptions,
-    resolve_read_options,
-    resolve_store_options,
-)
+from .options import CRC_MODES, ReadOptions, StoreOptions
 from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
 from .serialization import unpack_header
 from .readpath import (
     FragmentCache,
+    ReadView,
     RWLock,
-    map_fragments_ordered,
+    execute_box,
+    execute_points,
+    explain_read,
 )
 from .wal import TailRun, WriteAheadLog, build_tail_run, merge_chunks, wal_path
 
@@ -165,11 +162,7 @@ class FragmentStore:
     ``format_name`` accepts either a registry name (``"LINEAR"``) or a
     :class:`~repro.formats.base.SparseFormat` instance.  All tuning is
     consolidated in one :class:`~repro.storage.options.StoreOptions`
-    value passed as ``options=``; the pre-existing keywords
-    (``relative_coords``, ``fsync``, ``codec``, ``on_corruption``,
-    ``retry``, ``cache_bytes``, ``planner``, ``crc_mode``,
-    ``lazy_load``) survive as warn-once deprecation shims that override
-    the corresponding options field.
+    value passed as ``options=``.
 
     ``on_corruption`` controls what the read side does with a fragment that
     fails its checksum (or is unreadable after retries): ``"raise"`` (the
@@ -184,9 +177,10 @@ class FragmentStore:
     ``cache_bytes`` (default 0 = off) bounds the decoded-fragment LRU
     (:attr:`cache`, see :class:`~repro.storage.readpath.FragmentCache`)
     that serves repeated reads without touching disk; it is invalidated on
-    every committed mutation.  ``read_points`` / ``read_box`` additionally
-    accept ``parallel="thread"`` + ``max_workers`` to fan the per-fragment
-    work out over the shared read pool.
+    every committed mutation.  ``read_points`` / ``read_box`` take one
+    :class:`~repro.storage.options.ReadOptions`; its ``parallel="thread"``
+    + ``max_workers`` fan the per-fragment work out over the shared read
+    pool.
 
     ``planner`` (default on) routes every read through the query planner
     (interval-index + zone-map pruning, see
@@ -204,30 +198,10 @@ class FragmentStore:
         format_name: str | SparseFormat,
         *,
         options: StoreOptions | None = None,
-        relative_coords: bool = UNSET,
-        fsync: bool = UNSET,
-        codec: str | None = UNSET,
-        on_corruption: str = UNSET,
-        retry: RetryPolicy | None = UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
         from .compression import validate_codec
 
-        opts = resolve_store_options(
-            options,
-            relative_coords=relative_coords,
-            fsync=fsync,
-            codec=codec,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
+        opts = options if options is not None else StoreOptions()
         self.directory = Path(directory)
         self.shape = tuple(int(m) for m in shape)
         self.fmt = resolve_format(format_name)
@@ -1133,62 +1107,32 @@ class FragmentStore:
     # READ (Algorithm 3)
     # ------------------------------------------------------------------
 
-    def _overlapping(self, query_box: Box) -> list[FragmentInfo]:
-        """Seed-style linear bbox scan (kept as the plan-off reference)."""
-        # Materialized (not a generator): corruption handling may remove
-        # entries from ``self._fragments`` while the caller iterates.
-        with self._state_lock:
-            fragments = list(self._fragments)
-        return [f for f in fragments if f.bbox.intersects(query_box)]
+    def _read_view(self) -> ReadView:
+        """The live :class:`~repro.storage.readpath.ReadView`: the
+        current fragment list, WAL tail and generation.
 
-    # -- query planning -------------------------------------------------
-
-    def _plan_read(
-        self,
-        query_box: Box,
-        kind: str,
-        *,
-        sorted_addresses: np.ndarray | None = None,
-        address_range: tuple[int, int] | None = None,
-        keys: QueryKeys | None = None,
-    ) -> QueryPlan:
-        """Plan one READ: snapshot the fragment list, prune, never load.
-
-        ``keys`` carries the per-address-order query keys — the zone
-        stage prunes each fragment in its own ``addr_order`` space, so
-        mixed-order stores stay correct.  The returned plan's fragment
-        list is materialized (corruption handling may shrink
-        ``self._fragments`` while the caller iterates) and shared
-        verbatim by the sequential and parallel fan-outs, so both visit
-        exactly the same fragments in the same order.
+        Call under the read lock and execute under the same hold, so no
+        compaction can delete a listed fragment mid-read.  The first
+        planned read of a manifest load backfills missing zone maps
+        first.  The tuple is a copy: corruption handling may shrink
+        ``self._fragments`` while the executor iterates.
         """
         if self.use_planner and not self._zone_backfill_done:
             self.backfill_zone_maps()
         with self._state_lock:
-            fragments = list(self._fragments)
-            generation = self._generation
-        return self._planner.plan(
-            fragments,
-            generation,
-            query_box,
-            kind=kind,
-            enabled=self.use_planner,
-            sorted_addresses=sorted_addresses,
-            address_range=address_range,
-            keys=keys,
-            addr_order=self.addr_order,
-        )
+            return ReadView(
+                tuple(self._fragments),
+                self._wal_tail(),
+                self._generation,
+                self._planner,
+                self.on_corruption,
+            )
 
-    def _query_addresses(self, query: np.ndarray) -> np.ndarray | None:
-        """Ascending global addresses of a point query (zone-map key).
-
-        ``None`` when the shape overflows the uint64 address space — the
-        zone stage simply does not run there (exactly the shapes that
-        never had zone maps written).
-        """
-        if not (self.use_planner and self._linearizable):
-            return None
-        return np.sort(linearize(query, self.shape, validate=False))
+    def _execute(self, executor, query, options=None, keys=None):
+        """Run one :mod:`~repro.storage.readpath` executor over the live
+        view (the same hook :meth:`StoreSnapshot._execute` offers)."""
+        with self._rw.read_locked():
+            return executor(self, self._read_view(), query, options, keys)
 
     def _query_keys(
         self,
@@ -1201,12 +1145,6 @@ class FragmentStore:
             return None
         return QueryKeys(self.shape, points=points, box=box)
 
-    def _box_address_range(self, box: Box) -> tuple[int, int] | None:
-        """Inclusive global-address envelope of ``box`` (zone-map key)."""
-        if not (self.use_planner and self._linearizable):
-            return None
-        return self._box_envelope(box)
-
     def _box_envelope(self, box: Box) -> tuple[int, int] | None:
         """Inclusive global-address envelope of ``box``.
 
@@ -1215,8 +1153,7 @@ class FragmentStore:
         matter) has an address in ``[lin(origin), lin(end - 1)]``.  The
         envelope is valid for *any* box, not only axis-contained ones;
         it is merely loose when the box spans few cells of many rows.
-        Ungated by ``use_planner`` — the WAL tail's zone check uses it
-        with the planner off too.
+        The WAL tail's zone check uses it with the planner on or off.
         """
         if not self._linearizable:
             return None
@@ -1287,28 +1224,7 @@ class FragmentStore:
         stage-by-stage pruning; the debugging hook behind
         ``repro stats --plan``.
         """
-        if isinstance(query, Box):
-            plan = self._plan_read(
-                query, "box", keys=self._query_keys(box=query)
-            )
-            plan.codec_bytes = self._aggregate_codecs(plan.fragments)
-            return plan
-        query = as_index_array(query)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        if query.shape[0] == 0:
-            return QueryPlan(
-                kind="points",
-                total_fragments=len(self.fragments),
-                addr_order=self.addr_order,
-            )
-        plan = self._plan_read(
-            extract_boundary(query),
-            "points",
-            keys=self._query_keys(points=query),
-        )
-        plan.codec_bytes = self._aggregate_codecs(plan.fragments)
-        return plan
+        return self._execute(explain_read, query)
 
     # -- compression accounting -----------------------------------------
 
@@ -1445,14 +1361,15 @@ class FragmentStore:
         return payload
 
     def _note_corruption(
-        self, frag: FragmentInfo, exc: FragmentError, *, will_raise: bool = False
+        self, frag: FragmentInfo, exc: FragmentError, policy: str
     ) -> None:
-        """Account one corrupt fragment and apply skip/quarantine handling."""
+        """Account one corrupt fragment and apply ``policy``'s handling
+        (``"raise"``: account only — the caller re-raises)."""
         self.corrupt_fragments += 1
         counter_add("store.corrupt_fragments", format=self.format_name)
-        if will_raise:
+        if policy == "raise":
             return
-        if self.on_corruption == "quarantine":
+        if policy == "quarantine":
             self._quarantine_fragment(frag, reason=str(exc))
             action = "quarantined"
         else:
@@ -1475,221 +1392,79 @@ class FragmentStore:
         try:
             return self._load_payload(frag, check_crc=check_crc)
         except FragmentError as exc:
+            self._note_corruption(frag, exc, self.on_corruption)
             if self.on_corruption == "raise":
-                self._note_corruption(frag, exc, will_raise=True)
                 raise
-            self._note_corruption(frag, exc)
             return None
 
-    def _run_fragment_tasks(
+    def _fragment_points(
         self,
-        frags: list[FragmentInfo],
-        task: Callable[[FragmentInfo], object],
+        frag: FragmentInfo,
+        payload,
+        query: np.ndarray,
         *,
-        parallel: str,
-        max_workers: int | None,
-    ) -> list[tuple[FragmentInfo, object]]:
-        """Run one read task per fragment; corruption policy applied in order.
+        faithful: bool,
+        counter: OpCounter,
+    ):
+        """One fragment's organization READ of global ``query`` coords
+        (re-based for relative fragments): ``(ReadResult, values)``."""
+        if payload.extra.get("relative"):
+            query = self._to_local(frag, query)
+        return query_fragment(
+            payload, query, faithful=faithful, counter=counter
+        )
 
-        Sequentially (``parallel="none"``) each task runs — and its
-        corruption is handled — as soon as it is reached, exactly the
-        pre-pipeline loop.  With ``parallel="thread"`` all tasks fan out
-        over the shared read pool and the results are *merged in fragment
-        order*, with the policy applied in that same order, so the outcome
-        (raise / skip / quarantine, counters, warnings) is identical to
-        the sequential path.  Skipped fragments yield ``None`` results.
-        """
-        out: list[tuple[FragmentInfo, object]] = []
-        if parallel != "thread" or len(frags) <= 1:
-            # Inline: a corrupt fragment is handled (or raises) the moment
-            # it is reached, before any later fragment is touched.
-            for frag in frags:
-                try:
-                    out.append((frag, task(frag)))
-                except FragmentError as exc:
-                    if self.on_corruption == "raise":
-                        self._note_corruption(frag, exc, will_raise=True)
-                        raise
-                    self._note_corruption(frag, exc)
-                    out.append((frag, None))
-            return out
-        results = map_fragments_ordered(frags, task, max_workers=max_workers)
-        for frag, (result, exc) in zip(frags, results):
-            if exc is None:
-                out.append((frag, result))
-                continue
-            if not isinstance(exc, FragmentError):
-                raise exc
-            if self.on_corruption == "raise":
-                self._note_corruption(frag, exc, will_raise=True)
-                raise exc
-            self._note_corruption(frag, exc)
-            out.append((frag, None))
-        return out
+    def _fragment_box(self, frag: FragmentInfo, payload, box: Box):
+        """One fragment's structural range read of ``box``: global
+        ``(coords, values)``, or ``None`` when a relative fragment's box
+        misses it."""
+        relative = payload.extra.get("relative")
+        if relative:
+            inter = box.intersection(frag.bbox)
+            if inter.is_empty():
+                return None
+            box = Box(
+                tuple(int(o) - int(g) for o, g in
+                      zip(inter.origin, frag.bbox.origin)),
+                inter.size,
+            )
+        coords, positions = query_fragment_box(payload, box)
+        if relative:
+            coords = self._to_global(frag, coords)
+        return coords, payload.values[positions]
 
     def read_points(
-        self,
-        query_coords: np.ndarray,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
-        keys: QueryKeys | None = None,
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None
     ) -> ReadOutcome:
         """Algorithm 3 READ for an explicit query coordinate buffer.
 
-        Later fragments win on duplicate coordinates (overwrite semantics of
-        appended fragments).  Results come back aligned with the query
-        buffer; the benchmark layer separately accounts the final
-        sort-by-linear-address merge.
-
-        ``keys`` are the planner keys of exactly ``query_coords`` when
-        the caller already computed them (a sharded parent passes each
-        band its slice of one sort); by default they are built here.
-
-        Tuning arrives as one :class:`~repro.storage.options.ReadOptions`
-        value (the bare keywords are warn-once deprecation shims).
-        ``parallel="thread"`` fans the per-fragment load + decode + query
-        out over the shared read pool (``max_workers`` bounds this call's
-        fan-out); the merge stays in fragment order, so results — including
-        newest-wins duplicate handling and the ``on_corruption`` behavior —
-        are identical to the sequential path.
+        Later fragments win on duplicate coordinates (overwrite semantics
+        of appended fragments) and the WAL tail wins over all of them.
+        Results come back aligned with the query buffer.  ``options``
+        (:class:`~repro.storage.options.ReadOptions`) picks the faithful
+        kernels, CRC checks and the fan-out: ``parallel="thread"`` runs
+        the per-fragment load + decode + query on the shared read pool
+        with results merged in fragment order, so the outcome — including
+        newest-wins and ``on_corruption`` — is the sequential one.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        faithful = ropts.faithful
-        check_crc = ropts.check_crc
-        parallel = ropts.parallel
-        max_workers = ropts.max_workers
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        use_threads = parallel == "thread"
+        return self._execute(execute_points, query_coords, options)
 
-        def point_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=check_crc)
-            # ``rows is None``: the fragment's box covers the whole query.
-            rows = None
-            sub = query
-            if not frag.bbox.covers(query_box):
-                rows = frag.bbox.contains_points(query).nonzero()[0]
-                if rows.size == 0:
-                    return None
-                sub = np.take(query, rows, axis=0)
-            if payload.extra.get("relative"):
-                sub = self._to_local(frag, sub)
-            # Worker threads charge a private counter, folded into the
-            # span's counter at merge time (OpCounter is lock-free).
-            ops = OpCounter() if use_threads else sp.ops
-            res, vals = query_fragment(
-                payload, sub, faithful=faithful, counter=ops
-            )
-            return rows, res, vals, ops
+    def read_box(
+        self, box: Box, *, options: ReadOptions | None = None
+    ) -> SparseTensor:
+        """Read every stored point inside ``box``, merged and sorted by
+        linear address (Algorithm 3 line 12).
 
-        query_box = extract_boundary(query)
-        if keys is None:
-            keys = self._query_keys(points=query)
-        with self._rw.read_locked():
-            with span("store.read_points", format=self.format_name) as sp:
-                tail = self._wal_tail()
-                # The WAL tail lives in row-major address space
-                # regardless of the store's active order (appends must
-                # not pay an interleave), so its overlay keys are
-                # row-major too.
-                qaddrs: np.ndarray | None = None
-                qsorted: np.ndarray | None = None
-                if self._linearizable and tail is not None and tail.n:
-                    qaddrs = linearize(query, self.shape, validate=False)
-                    qsorted = np.sort(qaddrs)
-                plan = self._plan_read(query_box, "points", keys=keys)
-                frags = plan.fragments
-                visited = len(frags)
-                per_fragment = self._run_fragment_tasks(
-                    frags, point_task,
-                    parallel=parallel, max_workers=max_workers,
-                )
-                for _frag, result in per_fragment:
-                    if result is None:
-                        continue
-                    rows, res, vals, ops = result
-                    if use_threads:
-                        sp.ops.absorb(ops)
-                    if out_values is None:
-                        out_values = np.zeros(q, dtype=vals.dtype)
-                    idx = res.found.nonzero()[0]
-                    if rows is not None:
-                        idx = rows[idx]
-                    found[idx] = True
-                    out_values[idx] = vals
-                    self.workload_ledger.record_point_read(
-                        _frag.path.name,
-                        queried=q if rows is None else int(rows.size),
-                        matched=int(idx.size),
-                    )
-                # WAL tail overlay: the unpacked tail is newer than every
-                # committed fragment, so its hits overwrite — exactly as
-                # if the tail were one final appended fragment.
-                if (
-                    tail is not None and tail.n and qaddrs is not None
-                    and (tail.zone is None
-                         or tail.zone.may_contain_any(qsorted))
-                ):
-                    pos = np.searchsorted(tail.addresses, qaddrs)
-                    in_range = pos < tail.addresses.shape[0]
-                    hit = np.zeros(q, dtype=bool)
-                    hit[in_range] = (
-                        tail.addresses[pos[in_range]] == qaddrs[in_range]
-                    )
-                    if hit.any():
-                        vals = tail.values[pos[hit]]
-                        if out_values is None:
-                            out_values = np.zeros(q, dtype=vals.dtype)
-                        found[hit] = True
-                        out_values[hit] = vals
-                matched = int(np.count_nonzero(found))
-                sp.add_nnz(matched)
-        self._record_pruning(plan)
-        counter_add("store.points_queried", q)
-        counter_add("store.points_matched", matched)
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
-        )
-
-    def _record_pruning(self, plan: QueryPlan) -> None:
-        """Account one READ fan-out's pruning, stage by stage.
-
-        ``store.fragments_pruned`` keeps its pre-planner meaning — bbox
-        overlap prunes only — so dashboards built on it read unchanged;
-        planner-specific prunes land exclusively in the ``store.plan.*``
-        counters.
+        Uses each organization's structural range read, so the box may
+        cover arbitrarily many cells — work scales with stored points,
+        not box volume.  Later fragments win on duplicate coordinates.
+        Shapes whose global cell count overflows uint64 (blocked
+        datasets) are merged in lexicographic coordinate order instead —
+        same point set, overflow-safe ordering.  ``options`` as in
+        :meth:`read_points` (box reads are always structural, so
+        ``faithful`` does not apply).
         """
-        counter_add("store.fragments_visited", len(plan.fragments))
-        counter_add("store.fragments_pruned", plan.pruned_bbox)
-        if plan.used_index and plan.pruned_bbox:
-            counter_add(
-                "store.plan.fragments_pruned_index", plan.pruned_bbox
-            )
-        if plan.pruned_zonemap:
-            counter_add(
-                "store.plan.fragments_pruned_zonemap", plan.pruned_zonemap
-            )
+        return self._execute(execute_box, box, options)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -2247,98 +2022,6 @@ class FragmentStore:
                     self._ensure_wal_locked()
         return report
 
-    def read_box(
-        self,
-        box: Box,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
-    ) -> SparseTensor:
-        """Read every stored point inside ``box``, merged and sorted by
-        linear address (Algorithm 3 line 12).
-
-        Uses each organization's structural range read
-        (:meth:`~repro.formats.base.SparseFormat.box_points`), so the box
-        may cover arbitrarily many cells — work scales with stored points,
-        not box volume.  Later fragments win on duplicate coordinates.
-        Shapes whose global cell count overflows uint64 (blocked datasets)
-        are merged in lexicographic coordinate order instead of by linear
-        address — same point set, overflow-safe ordering.
-        ``faithful`` is accepted for signature compatibility with the
-        benchmark paths; box reads are always structural.
-
-        ``parallel="thread"`` fans the per-fragment load + range read out
-        over the shared read pool; the merge order (and thus newest-wins
-        deduplication) is unchanged.
-        """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        check_crc = ropts.check_crc
-        parallel = ropts.parallel
-        max_workers = ropts.max_workers
-
-        def box_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=check_crc)
-            query_box = box
-            if payload.extra.get("relative"):
-                inter = box.intersection(frag.bbox)
-                if inter.is_empty():
-                    return None
-                query_box = Box(
-                    tuple(int(o) - int(g) for o, g in
-                          zip(inter.origin, frag.bbox.origin)),
-                    inter.size,
-                )
-                coords, positions = query_fragment_box(payload, query_box)
-                coords = self._to_global(frag, coords)
-            else:
-                coords, positions = query_fragment_box(payload, query_box)
-            return coords, payload.values[positions]
-
-        all_coords: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
-        with self._rw.read_locked():
-            with span("store.read_box", format=self.format_name) as sp:
-                plan = self._plan_read(
-                    box, "box", keys=self._query_keys(box=box)
-                )
-                for _frag, result in self._run_fragment_tasks(
-                    plan.fragments, box_task,
-                    parallel=parallel, max_workers=max_workers,
-                ):
-                    if result is None:
-                        continue
-                    coords, values = result
-                    all_coords.append(coords)
-                    all_values.append(values)
-                    self.workload_ledger.record_box_read(
-                        _frag.path.name, matched=int(values.shape[0])
-                    )
-                # WAL tail overlay, appended last: the final keep-last
-                # dedup below then gives the tail's points the same
-                # newest-wins priority an appended fragment would have.
-                tail = self._wal_tail()
-                if tail is not None and tail.n:
-                    envelope = self._box_envelope(box)
-                    if (
-                        tail.zone is None or envelope is None
-                        or tail.zone.overlaps_range(*envelope)
-                    ):
-                        mask = box.contains_points(tail.coords)
-                        if mask.any():
-                            all_coords.append(tail.coords[mask])
-                            all_values.append(tail.values[mask])
-                sp.add_nnz(sum(c.shape[0] for c in all_coords))
-        self._record_pruning(plan)
-        return _merge_box_parts(self.shape, all_coords, all_values)
 
 
 class StoreSnapshot:
@@ -2353,9 +2036,13 @@ class StoreSnapshot:
     :meth:`close` (or the context-manager form); garbage collection
     releases it as a backstop.
 
-    Reads share the parent's decoded-fragment cache and retry policy but
-    always *raise* on corruption — a snapshot never quarantines or
-    de-lists anything (it owns no manifest).
+    Reads run the store's own executor over the pinned
+    :class:`~repro.storage.readpath.ReadView` — planned by a planner of
+    the snapshot's own, honouring every :class:`~repro.storage.options.
+    ReadOptions` field, traced and counted like live reads.  They share
+    the parent's decoded-fragment cache and retry policy but always
+    *raise* on corruption — a snapshot never quarantines or de-lists
+    anything (it owns no manifest).
     """
 
     def __init__(
@@ -2369,22 +2056,23 @@ class StoreSnapshot:
         self._store = store
         #: The manifest generation this view is pinned to.
         self.generation = generation
-        self._fragments = list(fragments)
-        self._tail = tail
+        self._view = ReadView(
+            tuple(fragments), tail, generation, QueryPlanner(), "raise"
+        )
         self._finalizer = weakref.finalize(
             self, store._release_pin, token
         )
 
     @property
     def fragments(self) -> tuple[FragmentInfo, ...]:
-        return tuple(self._fragments)
+        return self._view.fragments
 
     @property
     def nnz(self) -> int:
         """Stored points visible to this view (duplicates counted)."""
-        total = sum(f.nnz for f in self._fragments)
-        if self._tail is not None:
-            total += self._tail.n
+        total = sum(f.nnz for f in self._view.fragments)
+        if self._view.tail is not None:
+            total += self._view.tail.n
         return total
 
     @property
@@ -2401,161 +2089,27 @@ class StoreSnapshot:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _check_open(self) -> None:
+    def _execute(self, executor, query, options=None, keys=None):
+        """Run one :mod:`~repro.storage.readpath` executor over the
+        pinned view (see :meth:`FragmentStore._execute`)."""
         if self.closed:
             raise ValueError(
                 "snapshot is closed (its fragments may already be GC'd)"
             )
+        store = self._store
+        with store._rw.read_locked():
+            return executor(store, self._view, query, options, keys)
 
     def read_points(
-        self,
-        query_coords: np.ndarray,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None
     ) -> ReadOutcome:
         """Point queries against the pinned view — same semantics as
-        :meth:`FragmentStore.read_points`, minus planner pruning (the
-        pinned list is typically short-lived and already exact)."""
-        self._check_open()
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        store = self._store
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(store.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        visited = 0
-        with store._rw.read_locked():
-            for frag in self._fragments:
-                mask = frag.bbox.contains_points(query)
-                if not mask.any():
-                    continue
-                payload = store._load_payload(
-                    frag, check_crc=ropts.check_crc
-                )
-                visited += 1
-                sub = query[mask]
-                if payload.extra.get("relative"):
-                    sub = store._to_local(frag, sub)
-                res, vals = query_fragment(
-                    payload, sub, faithful=ropts.faithful
-                )
-                if out_values is None:
-                    out_values = np.zeros(q, dtype=vals.dtype)
-                idx = np.flatnonzero(mask)[res.found]
-                found[idx] = True
-                out_values[idx] = vals
-            tail = self._tail
-            if tail is not None and tail.n and store._linearizable:
-                qaddrs = linearize(query, store.shape, validate=False)
-                pos = np.searchsorted(tail.addresses, qaddrs)
-                in_range = pos < tail.addresses.shape[0]
-                hit = np.zeros(q, dtype=bool)
-                hit[in_range] = (
-                    tail.addresses[pos[in_range]] == qaddrs[in_range]
-                )
-                if hit.any():
-                    vals = tail.values[pos[hit]]
-                    if out_values is None:
-                        out_values = np.zeros(q, dtype=vals.dtype)
-                    found[hit] = True
-                    out_values[hit] = vals
-        matched = int(found.sum())
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
-        )
+        :meth:`FragmentStore.read_points`."""
+        return self._execute(execute_points, query_coords, options)
 
     def read_box(
-        self,
-        box: Box,
-        *,
-        options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
+        self, box: Box, *, options: ReadOptions | None = None
     ) -> SparseTensor:
         """Structural range read against the pinned view — same
         semantics as :meth:`FragmentStore.read_box`."""
-        self._check_open()
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        store = self._store
-        all_coords: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
-        with store._rw.read_locked():
-            for frag in self._fragments:
-                if not frag.bbox.intersects(box):
-                    continue
-                payload = store._load_payload(
-                    frag, check_crc=ropts.check_crc
-                )
-                query_box = box
-                if payload.extra.get("relative"):
-                    inter = box.intersection(frag.bbox)
-                    if inter.is_empty():
-                        continue
-                    query_box = Box(
-                        tuple(int(o) - int(g) for o, g in
-                              zip(inter.origin, frag.bbox.origin)),
-                        inter.size,
-                    )
-                    coords, positions = query_fragment_box(
-                        payload, query_box
-                    )
-                    coords = store._to_global(frag, coords)
-                else:
-                    coords, positions = query_fragment_box(
-                        payload, query_box
-                    )
-                all_coords.append(coords)
-                all_values.append(payload.values[positions])
-            tail = self._tail
-            if tail is not None and tail.n:
-                mask = box.contains_points(tail.coords)
-                if mask.any():
-                    all_coords.append(tail.coords[mask])
-                    all_values.append(tail.values[mask])
-        return _merge_box_parts(store.shape, all_coords, all_values)
-
-
-def _merge_box_parts(
-    shape, all_coords: list[np.ndarray], all_values: list[np.ndarray]
-) -> SparseTensor:
-    """One box read's result: per-fragment parts in commit order (WAL tail
-    last) merged newest-wins and sorted row-major (Algorithm 3 line 12).
-
-    Shapes whose addresses overflow uint64 sort lexicographically.
-    """
-    if not all_coords:
-        return SparseTensor.empty(shape)
-    tensor = SparseTensor(
-        shape, np.vstack(all_coords), np.concatenate(all_values)
-    )
-    # Later parts override earlier ones on the same coordinate.
-    if fits_index_dtype(shape):
-        return tensor.deduplicated(keep="last", sort=True)
-    return tensor.deduplicated(keep="last").sorted_lexicographic()
+        return self._execute(execute_box, box, options)

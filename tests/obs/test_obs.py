@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.costmodel import NULL_COUNTER
+from repro.storage.options import ReadOptions
 
 
 @pytest.fixture(autouse=True)
@@ -221,7 +222,7 @@ class TestInstrumentation:
         store = FragmentStore(tmp_path / "s", (16, 16), "COO")
         coords = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.uint64)
         store.write(coords, np.ones(3))
-        store.read_points(coords, faithful=True)
+        store.read_points(coords, options=ReadOptions(faithful=True))
         reg = obs.get_registry()
         ops = reg.counter(
             "store.read_points.ops.comparisons", format="COO"

@@ -35,7 +35,12 @@ from hypothesis import strategies as st
 from repro.build import encode_all
 from repro.core import Box, SparseTensor
 from repro.formats import PAPER_FORMATS, get_format
-from repro.storage import FragmentStore, StoreOptions
+from repro.storage import (
+    FragmentStore,
+    ReadOptions,
+    ShardedStore,
+    StoreOptions,
+)
 from repro.testing import (
     VALUE_DTYPES,
     oracle_read_box,
@@ -243,7 +248,7 @@ class TestBuildPipelineDifferential:
             tensor = random_sparse_tensor(rng, max_points=48, max_side=6)
             store = FragmentStore(
                 tmp_path / f"{strategy}{seed}", tensor.shape, fmt_name,
-                relative_coords=relative,
+                options=StoreOptions(relative_coords=relative),
             )
             wrote = False
             for _ in range(int(rng.integers(2, 6))):
@@ -280,11 +285,11 @@ class TestStoreDifferential:
     SEEDS = range(20)
 
     @staticmethod
-    def build_store(tmp_path, seed, fmt_name, **store_kw):
+    def build_store(tmp_path, seed, fmt_name, options=None):
         rng = np.random.default_rng(seed)
         tensor = random_sparse_tensor(rng, max_points=48, max_side=6)
         store = FragmentStore(
-            tmp_path / f"ds{seed}", tensor.shape, fmt_name, **store_kw
+            tmp_path / f"ds{seed}", tensor.shape, fmt_name, options=options
         )
         written = []
         for _ in range(int(rng.integers(1, 5))):
@@ -313,16 +318,16 @@ class TestStoreDifferential:
     def test_store_matches_oracle(self, tmp_path, seed, parallel):
         fmt_name = PAPER_FORMATS[seed % len(PAPER_FORMATS)]
         store, overlay, rng = self.build_store(
-            tmp_path, seed, fmt_name, cache_bytes=1 << 20
+            tmp_path, seed, fmt_name, StoreOptions(cache_bytes=1 << 20)
         )
         queries = random_queries(rng, overlay)
-        out = store.read_points(queries, parallel=parallel)
+        out = store.read_points(queries, options=ReadOptions(parallel=parallel))
         assert_points_match(
             out, overlay, queries, f"{fmt_name}/seed={seed}/{parallel}"
         )
         box = random_box(rng, overlay.shape)
         assert_box_match(
-            store.read_box(box, parallel=parallel),
+            store.read_box(box, options=ReadOptions(parallel=parallel)),
             overlay, box, f"{fmt_name}/seed={seed}/{parallel}",
         )
 
@@ -330,11 +335,11 @@ class TestStoreDifferential:
     def test_warm_cache_reads_identical(self, tmp_path, seed):
         """Cold-cache and warm-cache reads return bit-identical results."""
         store, overlay, rng = self.build_store(
-            tmp_path, seed, "LINEAR", cache_bytes=1 << 20
+            tmp_path, seed, "LINEAR", StoreOptions(cache_bytes=1 << 20)
         )
         queries = random_queries(rng, overlay)
         cold = store.read_points(queries)
-        warm = store.read_points(queries, parallel="thread")
+        warm = store.read_points(queries, options=ReadOptions(parallel="thread"))
         np.testing.assert_array_equal(cold.found, warm.found)
         np.testing.assert_array_equal(cold.values, warm.values)
         assert store.cache.hits > 0 or store.cache.misses == 0
@@ -378,11 +383,14 @@ class TestWalDifferential:
             ))
 
         synced = FragmentStore(
-            tmp_path / "sync", tensor.shape, fmt_name, planner=plan
+            tmp_path / "sync", tensor.shape, fmt_name, options=StoreOptions(
+                planner=plan
+            )
         )
         walled = FragmentStore(
-            tmp_path / "wal", tensor.shape, fmt_name, planner=plan,
-            options=StoreOptions(wal_segment_bytes=256),
+            tmp_path / "wal", tensor.shape, fmt_name, options=StoreOptions(
+                wal_segment_bytes=256, planner=plan
+            ),
         )
         for i, chunk in enumerate(chunks):
             synced.write(chunk.coords, chunk.values)
@@ -403,8 +411,9 @@ class TestWalDifferential:
 
         # Reopen replays whatever segments are still unpacked.
         reopened = FragmentStore(
-            tmp_path / "wal", tensor.shape, fmt_name, planner=plan,
-            options=StoreOptions(wal_segment_bytes=256),
+            tmp_path / "wal", tensor.shape, fmt_name, options=StoreOptions(
+                wal_segment_bytes=256, planner=plan
+            ),
         )
         want_points = synced.read_points(queries)
         want_box = synced.read_box(box)
@@ -558,8 +567,8 @@ class TestPlannerDifferential:
         queries = random_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
         for parallel in ("none", "thread"):
-            a = store_a.read_points(queries, parallel=parallel)
-            b = store_b.read_points(queries, parallel=parallel)
+            a = store_a.read_points(queries, options=ReadOptions(parallel=parallel))
+            b = store_b.read_points(queries, options=ReadOptions(parallel=parallel))
             np.testing.assert_array_equal(
                 a.found, b.found, err_msg=f"{label}/{parallel}: found"
             )
@@ -567,8 +576,8 @@ class TestPlannerDifferential:
                 a.values, b.values, err_msg=f"{label}/{parallel}: values"
             )
             assert a.points_matched == b.points_matched, label
-            ta = store_a.read_box(box, parallel=parallel)
-            tb = store_b.read_box(box, parallel=parallel)
+            ta = store_a.read_box(box, options=ReadOptions(parallel=parallel))
+            tb = store_b.read_box(box, options=ReadOptions(parallel=parallel))
             np.testing.assert_array_equal(
                 ta.coords, tb.coords, err_msg=f"{label}/{parallel}: box"
             )
@@ -583,7 +592,9 @@ class TestPlannerDifferential:
             tmp_path, seed, fmt_name
         )
         store_off = FragmentStore(
-            store_on.directory, overlay.shape, fmt_name, planner=False
+            store_on.directory, overlay.shape, fmt_name, options=StoreOptions(
+                planner=False
+            )
         )
         self._assert_same_reads(
             store_on, store_off, overlay, rng,
@@ -608,7 +619,9 @@ class TestPlannerDifferential:
         path.write_text(json.dumps(manifest))
         stale = FragmentStore(store.directory, overlay.shape, fmt_name)
         off = FragmentStore(
-            store.directory, overlay.shape, fmt_name, planner=False
+            store.directory, overlay.shape, fmt_name, options=StoreOptions(
+                planner=False
+            )
         )
         self._assert_same_reads(
             stale, off, overlay, rng, f"{fmt_name}/seed={seed}/stale"
@@ -623,7 +636,9 @@ class TestPlannerDifferential:
         store.write(np.empty((0, 3), dtype=np.uint64), np.empty(0))
         store.write(np.array([[5, 5, 5]], dtype=np.uint64), np.ones(1))
         store.write(np.array([[0, 0, 0]], dtype=np.uint64), -np.ones(1))
-        off = FragmentStore(tmp_path / "ds", shape, fmt_name, planner=False)
+        off = FragmentStore(
+            tmp_path / "ds", shape, fmt_name, options=StoreOptions(planner=False)
+        )
         queries = np.array(
             [[5, 5, 5], [0, 0, 0], [3, 3, 3]], dtype=np.uint64
         )
@@ -645,7 +660,7 @@ class TestPlannerDifferential:
         )
         tuned = FragmentStore(
             eager.directory, overlay.shape, fmt_name,
-            crc_mode="once", lazy_load=True,
+            options=StoreOptions(crc_mode="once", lazy_load=True),
         )
         # Read twice so the second round exercises the CRC memo.
         for _ in range(2):
@@ -793,3 +808,95 @@ class TestAddressOrderDifferential:
         for tag, store in stores.items():
             manifest = (store.directory / "manifest.json").read_text()
             assert "addr_order" not in manifest, tag
+
+
+class TestReadViewDifferential:
+    """Every read view agrees with the oracle, including result order.
+
+    The views are the live single store, its snapshot, the sharded store
+    and its snapshot; the axes are planner {on, off} × ``parallel``
+    {none, thread} × WAL {tail, packed} × ``addr_order`` {row_major,
+    alto}.  Half the chunks are written as fragments and half appended
+    through the WAL (left as the tail or packed).  A snapshot is taken
+    before one more append to the live store, which it must not see.
+    """
+
+    FLAVORS = ("store", "snapshot", "sharded", "sharded_snapshot")
+
+    @staticmethod
+    def _chunks(rng, tensor):
+        chunks = []
+        for _ in range(int(rng.integers(2, 5))):
+            chunk = random_sparse_tensor(
+                rng, tensor.shape, max_points=32,
+                dtype=str(tensor.values.dtype),
+            )
+            if chunk.nnz:
+                chunks.append(chunk.deduplicated(keep="last"))
+        while len(chunks) < 2:
+            chunks.append(SparseTensor.from_points(
+                tensor.shape, [(0,) * len(tensor.shape)],
+                np.ones(1, dtype=tensor.values.dtype),
+            ))
+        return chunks
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("planner", [True, False])
+    @pytest.mark.parametrize("parallel", ["none", "thread"])
+    @pytest.mark.parametrize("wal", ["tail", "packed"])
+    @pytest.mark.parametrize("addr_order", ["row_major", "alto"])
+    def test_view_matches_oracle(
+        self, tmp_path, flavor, planner, parallel, wal, addr_order
+    ):
+        seed = 13000 + sum(map(ord, flavor + parallel + wal + addr_order))
+        seed += int(planner)
+        fmt_name = DIFF_FORMATS[seed % len(DIFF_FORMATS)]
+        label = (
+            f"{flavor}/{fmt_name}/plan={planner}/{parallel}/{wal}/"
+            f"{addr_order}"
+        )
+        rng = np.random.default_rng(seed)
+        tensor = random_sparse_tensor(rng, max_points=48, max_side=6)
+        opts = StoreOptions(planner=planner, addr_order=addr_order)
+        if flavor.startswith("sharded"):
+            store = ShardedStore(
+                tmp_path / "ds", tensor.shape, fmt_name, n_shards=3,
+                options=opts,
+            )
+        else:
+            store = FragmentStore(
+                tmp_path / "ds", tensor.shape, fmt_name, options=opts
+            )
+        chunks = self._chunks(rng, tensor)
+        half = len(chunks) // 2
+        for chunk in chunks[:half]:
+            store.write(chunk.coords, chunk.values)
+        for chunk in chunks[half:]:
+            store.append(chunk.coords, chunk.values)
+        if wal == "packed":
+            store.pack_wal()
+        assert (store.wal_stats()["points"] > 0) == (wal == "tail"), label
+        overlay = SparseTensor(
+            tensor.shape,
+            np.vstack([c.coords for c in chunks]),
+            np.concatenate([c.values for c in chunks]),
+        ).deduplicated(keep="last")
+
+        reader = store
+        if flavor.endswith("snapshot"):
+            reader = store.snapshot()
+            late = random_sparse_tensor(
+                rng, tensor.shape, max_points=16,
+                dtype=str(tensor.values.dtype),
+            ).deduplicated(keep="last")
+            store.append(late.coords, late.values + 1)
+        queries = random_queries(rng, overlay)
+        box = random_box(rng, overlay.shape)
+        ropts = ReadOptions(parallel=parallel)
+        assert_points_match(
+            reader.read_points(queries, options=ropts), overlay, queries,
+            label,
+        )
+        assert_box_match(
+            reader.read_box(box, options=ropts), overlay, box, label
+        )

@@ -12,7 +12,7 @@ from repro.core import (
     FragmentIOError,
     ManifestError,
 )
-from repro.storage import FragmentStore, fsck
+from repro.storage import FragmentStore, StoreOptions, fsck
 from repro.storage.durability import (
     NO_RETRY,
     RetryPolicy,
@@ -27,7 +27,9 @@ from repro.testing.faults import FaultPlan, FaultRule, SeededFaults, inject
 
 def make_store(path, *, n=30, seed=7, **kwargs):
     rng = np.random.default_rng(seed)
-    store = FragmentStore(path, (32, 32), "LINEAR", **kwargs)
+    store = FragmentStore(
+        path, (32, 32), "LINEAR", options=StoreOptions(**kwargs)
+    )
     # Distinct coordinates so value comparisons are unambiguous.
     lin = rng.choice(32 * 32, size=n, replace=False)
     coords = np.column_stack([lin // 32, lin % 32]).astype(np.uint64)
@@ -182,7 +184,7 @@ class TestCorruptionPolicies:
     def test_invalid_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             FragmentStore(tmp_path / "ds", (8, 8), "LINEAR",
-                          on_corruption="ignore")
+                          options=StoreOptions(on_corruption="ignore"))
 
     def test_raise_policy_propagates_checksum_error(self, tmp_path):
         store, coords, _ = make_store(tmp_path / "ds")

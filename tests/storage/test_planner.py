@@ -13,10 +13,11 @@ from repro import obs
 from repro.core.boundary import Box
 from repro.core.errors import ShapeError
 from repro.storage import (
-    ZONE_HIST_BUCKETS,
     FragmentIndex,
     FragmentStore,
     QueryPlan,
+    StoreOptions,
+    ZONE_HIST_BUCKETS,
     ZoneMap,
 )
 
@@ -44,7 +45,9 @@ def _band_store(tmp_path, *, n_fragments=8, points=64, seed=0, **kwargs):
     """Disjoint-row-band LINEAR store; returns (store, per-band coords)."""
     shape = (n_fragments * 16, 64)
     rng = np.random.default_rng(seed)
-    store = FragmentStore(tmp_path / "ds", shape, "LINEAR", **kwargs)
+    store = FragmentStore(
+        tmp_path / "ds", shape, "LINEAR", options=StoreOptions(**kwargs)
+    )
     bands = []
     for i in range(n_fragments):
         rows = rng.integers(i * 16, (i + 1) * 16, size=points,
@@ -204,7 +207,9 @@ class TestStorePlanning:
     def test_plan_on_off_results_identical(self, tmp_path):
         store_on, bands = _band_store(tmp_path)
         store_off = FragmentStore(
-            tmp_path / "ds", store_on.shape, "LINEAR", planner=False
+            tmp_path / "ds", store_on.shape, "LINEAR", options=StoreOptions(
+                planner=False
+            )
         )
         queries = np.vstack([b[:4] for b in bands])
         a = store_on.read_points(queries)
@@ -267,7 +272,9 @@ class TestStorePlanning:
 
     def test_invalid_crc_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            FragmentStore(tmp_path / "ds", (8, 8), "LINEAR", crc_mode="bad")
+            FragmentStore(
+                tmp_path / "ds", (8, 8), "LINEAR", options=StoreOptions(crc_mode="bad")
+            )
 
 
 class TestBackfill:
@@ -311,7 +318,7 @@ class TestBackfill:
         store, bands = _band_store(tmp_path, n_fragments=2)
         self._strip_zones(store.directory)
         off = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR", planner=False
+            tmp_path / "ds", store.shape, "LINEAR", options=StoreOptions(planner=False)
         )
         assert off.read_points(bands[0][:4]).found.all()
         manifest = json.loads(
@@ -347,7 +354,7 @@ class TestCrcMemoAndLazy:
         store, bands = _band_store(tmp_path, n_fragments=4)
         lazy = FragmentStore(
             tmp_path / "ds", store.shape, "LINEAR",
-            lazy_load=True, crc_mode="once",
+            options=StoreOptions(lazy_load=True, crc_mode="once"),
         )
         queries = np.vstack([b[:8] for b in bands])
         a = store.read_points(queries)
@@ -367,7 +374,7 @@ class TestCrcMemoAndLazy:
         blob[-3] ^= 0xFF
         frag_path.write_bytes(bytes(blob))
         lazy = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR", lazy_load=True
+            tmp_path / "ds", store.shape, "LINEAR", options=StoreOptions(lazy_load=True)
         )
         from repro.core.errors import FragmentError
 

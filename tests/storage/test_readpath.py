@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import ChecksumError
-from repro.storage import FragmentStore
+from repro.core import Box, ChecksumError
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 from repro.storage.durability import RetryPolicy
 from repro.storage.readpath import (
     MAX_READ_WORKERS,
@@ -36,7 +36,9 @@ from repro.testing.faults import FaultPlan, FaultRule, inject
 def make_store(path, *, n_fragments=4, points_per_fragment=12, **kwargs):
     """A LINEAR store with ``n_fragments`` disjoint fragments."""
     shape = (64, 64)
-    store = FragmentStore(path, shape, "LINEAR", **kwargs)
+    store = FragmentStore(
+        path, shape, "LINEAR", options=StoreOptions(**kwargs)
+    )
     all_coords, all_values = [], []
     for i in range(n_fragments):
         rows = np.arange(points_per_fragment, dtype=np.uint64)
@@ -75,7 +77,7 @@ class TestValidateParallel:
     def test_store_rejects_unknown(self, tmp_path):
         store, coords, _ = make_store(tmp_path / "ds", n_fragments=1)
         with pytest.raises(ValueError, match="parallel"):
-            store.read_points(coords, parallel="fork")
+            store.read_points(coords, options=ReadOptions(parallel="fork"))
 
     def test_worker_bound_positive(self):
         assert MAX_READ_WORKERS >= 1
@@ -274,7 +276,7 @@ class TestParallelMatchesSequential:
         store, coords, values = make_store(tmp_path / "ds", n_fragments=6)
         seq = store.read_points(coords)
         par = store.read_points(
-            coords, parallel="thread", max_workers=max_workers
+            coords, options=ReadOptions(parallel="thread", max_workers=max_workers)
         )
         np.testing.assert_array_equal(seq.found, par.found)
         np.testing.assert_array_equal(seq.values, par.values)
@@ -286,7 +288,7 @@ class TestParallelMatchesSequential:
         store, *_ = make_store(tmp_path / "ds", n_fragments=6)
         box = Box((0, 0), (20, 64))
         seq = store.read_box(box)
-        par = store.read_box(box, parallel="thread")
+        par = store.read_box(box, options=ReadOptions(parallel="thread"))
         np.testing.assert_array_equal(seq.coords, par.coords)
         np.testing.assert_array_equal(seq.values, par.values)
 
@@ -299,7 +301,7 @@ class TestParallelMatchesSequential:
         def total_ops(parallel):
             obs.enable()
             obs.reset()
-            store.read_points(coords, parallel=parallel)
+            store.read_points(coords, options=ReadOptions(parallel=parallel))
             snap = obs.snapshot()
             return {
                 m["name"]: m["value"] for m in snap["counters"]
@@ -319,7 +321,7 @@ class TestCorruptionPolicyParity:
         )
         corrupt_file(store.fragments[1].path)
         with pytest.warns(UserWarning, match="skip"):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         # Fragment 1's points vanish; everything else survives.
         expected = np.ones(len(coords), dtype=bool)
         expected[12:24] = False
@@ -336,7 +338,7 @@ class TestCorruptionPolicyParity:
         bad = store.fragments[2].path
         corrupt_file(bad)
         with pytest.warns(UserWarning, match="quarantine"):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert int(out.found.sum()) == 36
         assert not bad.exists()
         assert (bad.parent / ".quarantine" / bad.name).exists()
@@ -350,7 +352,7 @@ class TestCorruptionPolicyParity:
         store, coords, _ = make_store(tmp_path / f"ds-{parallel}")
         corrupt_file(store.fragments[0].path)
         with pytest.raises(ChecksumError):
-            store.read_points(coords, parallel=parallel)
+            store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert len(store.fragments) == 4  # raise never mutates the store
 
     @pytest.mark.parametrize("parallel", ["none", "thread"])
@@ -362,7 +364,7 @@ class TestCorruptionPolicyParity:
         corrupt_file(store.fragments[0].path)
         for _ in range(2):  # second read must re-detect, not hit a cache
             with pytest.warns(UserWarning):
-                store.read_points(coords, parallel=parallel)
+                store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert store.corrupt_fragments == 2
 
 
@@ -378,7 +380,7 @@ class TestRetryParity:
             [FaultRule(op="read", pattern="frag-*.bin", times=2)]
         )
         with inject(plan):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert out.found.all()
         np.testing.assert_array_equal(out.values, values)
 
@@ -391,7 +393,7 @@ class TestRetryParity:
             [FaultRule(op="read", pattern="frag-*.bin", times=None)]
         )
         with inject(plan), pytest.raises(Exception):
-            store.read_points(coords, parallel="thread")
+            store.read_points(coords, options=ReadOptions(parallel="thread"))
 
 
 class TestCacheLifecycle:
@@ -427,7 +429,57 @@ class TestCacheLifecycle:
             [FaultRule(op="read", pattern="frag-*.bin", times=None)]
         )
         with inject(plan):
-            out = store.read_points(coords, parallel="thread")
+            out = store.read_points(coords, options=ReadOptions(parallel="thread"))
         assert out.found.all()
         assert store.cache.misses == misses_after_cold
         assert store.cache.hits >= 3
+
+
+class TestSnapshotReadPath:
+    """Snapshots run the live store's executor over their pinned view."""
+
+    def test_snapshot_parallel_uses_shared_pool(self, tmp_path, monkeypatch):
+        from repro.storage import readpath
+
+        store, coords, values = make_store(tmp_path / "ds", n_fragments=4)
+        calls = []
+        real = readpath.get_read_executor
+
+        def spy():
+            calls.append(threading.current_thread().name)
+            return real()
+
+        monkeypatch.setattr(readpath, "get_read_executor", spy)
+        with store.snapshot() as snap:
+            out = snap.read_points(
+                coords, options=ReadOptions(parallel="thread")
+            )
+            assert calls, "snapshot read_points bypassed the read pool"
+            calls.clear()
+            snap.read_box(
+                Box((0, 0), (64, 64)), options=ReadOptions(parallel="thread")
+            )
+            assert calls, "snapshot read_box bypassed the read pool"
+        assert out.found.all()
+        np.testing.assert_array_equal(out.values, values)
+
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_snapshot_and_store_visit_the_same_fragments(
+        self, tmp_path, planner
+    ):
+        store, *_ = make_store(
+            tmp_path / "ds", n_fragments=4, planner=planner
+        )
+        # The query's bounding box spans all four column fragments; only
+        # fragments 0 and 3 hold one of its points.
+        query = np.array([[0, 0], [0, 3]], dtype=np.uint64)
+        with store.snapshot() as snap:
+            assert snap.generation == store.generation
+            live = store.read_points(query)
+            pinned = snap.read_points(query)
+            assert pinned.fragments_visited == live.fragments_visited
+            assert live.fragments_visited == len(
+                store.explain(query).fragments
+            )
+        np.testing.assert_array_equal(pinned.found, live.found)
+        np.testing.assert_array_equal(pinned.values, live.values)

@@ -478,3 +478,53 @@ class TestStats:
         }
         assert counters.get("store.shard.routed_parts", 0) > 0
         assert counters.get("store.shard.visited", 0) > 0
+
+
+class TestShardedSnapshot:
+    def test_snapshot_pins_shard_stats(self, tmp_path):
+        """Writes, packs and compactions update the live band table's
+        per-shard stats in place; a snapshot plans over its own copy."""
+        from repro import obs
+
+        def visited(read):
+            obs.reset()
+            read()
+            return sum(
+                c["value"] for c in obs.snapshot()["counters"]
+                if c["name"] == "store.shard.visited"
+            )
+
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            store = ShardedStore(tmp_path / "sh", SHAPE, "LINEAR", n_shards=4)
+            rng = np.random.default_rng(3)
+            # Rows 0..5 are band 0, rows 18..23 band 3 (6 rows per band).
+            old = np.column_stack([
+                rng.integers(0, 6, 40), rng.integers(0, 24, 40),
+                rng.integers(0, 24, 40),
+            ]).astype(np.uint64)
+            store.write(old, np.arange(40.0))
+            snap = store.snapshot()
+            new = old + np.array([18, 0, 0], dtype=np.uint64)
+            store.append(new, np.arange(40.0) + 100)
+            store.pack_wal()
+            store.write(new[:5], np.zeros(5))
+            store.compact()
+
+            assert visited(lambda: store.read_points(new)) == 1
+            assert visited(lambda: snap.read_points(new)) == 0
+            assert visited(lambda: snap.read_points(old)) == 1
+            assert not snap.read_points(new).found.any()
+            got = snap.read_points(old)
+            assert got.found.all()
+            oracle = SparseTensor(SHAPE, old, np.arange(40.0)).deduplicated(
+                keep="last", sort=True
+            )
+            got_box = snap.read_box(Box((0, 0, 0), SHAPE))
+            assert np.array_equal(got_box.coords, oracle.coords)
+            assert np.array_equal(got_box.values, oracle.values)
+            snap.close()
+        finally:
+            if not was_enabled:
+                obs.disable()

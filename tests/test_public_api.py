@@ -113,24 +113,29 @@ class TestStoreReadTuningSurface:
     def test_snapshot_value(self):
         from repro.readapi import STORE_READ_TUNING
 
-        assert STORE_READ_TUNING == (
-            "options", "faithful", "check_crc", "parallel", "max_workers",
-        )
+        assert STORE_READ_TUNING == ("options",)
 
     @pytest.mark.parametrize("cls_name", [
         "FragmentStore", "AdaptiveStore", "BlockedDataset", "ShardedStore",
+        "StoreSnapshot", "ShardedSnapshot",
     ])
     @pytest.mark.parametrize("method", ["read_points", "read_box"])
     def test_stores_accept_tuning_keywords(self, cls_name, method):
         from repro.readapi import STORE_READ_TUNING
 
-        sig = inspect.signature(getattr(getattr(repro, cls_name), method))
+        cls = getattr(repro.storage, cls_name)
+        sig = inspect.signature(getattr(cls, method))
         for name in STORE_READ_TUNING:
             param = sig.parameters.get(name)
             assert param is not None, f"{cls_name}.{method} lacks {name}"
             assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
                 f"{cls_name}.{method}({name}) must be keyword-only"
             )
+            assert param.default is None
+        # One query argument, then the tuning surface — nothing else.
+        params = list(sig.parameters.values())[1:]
+        assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert tuple(p.name for p in params[1:]) == STORE_READ_TUNING
 
     def test_stores_are_readable(self):
         for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
